@@ -1,6 +1,7 @@
 #include "core/batched_ooo_core.hh"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "bp/predictors.hh"
@@ -17,6 +18,10 @@ namespace
 {
 
 constexpr std::uint64_t noProducer = ~0ull;
+constexpr std::uint32_t noNode = ~0u;
+
+/** Ready-mask classes, in `BatchedOooCore::ready` order. */
+enum : std::uint8_t { intClass, memClass, fpClass };
 
 /** Reject invalid parameters before any member is constructed. */
 const CoreParams &
@@ -69,7 +74,23 @@ BatchedOooCore::BatchedOooCore(const CoreParams &params,
     aLoadMiss.resize(size);
     slotMask = size - 1;
 
-    win.reserve(prm.window.capacity);
+    const std::uint64_t words = size / 64;
+    wordMask = words - 1;
+    inWin.resize(words);
+    for (auto &mask : ready)
+        mask.resize(words);
+    presel.resize(words);
+    wClass.resize(size);
+    wPending.resize(size);
+    wWakeAt.resize(size);
+    wakeHead.resize(size, noNode);
+    wakeNext.resize(2 * size);
+    wheelNext.resize(size);
+    stageAt.resize(prm.window.capacity);
+    for (int pos = 0; pos < prm.window.capacity; ++pos) {
+        stageAt[pos] = std::min(pos / prm.window.entriesPerStage(),
+                                prm.window.wakeupStages - 1);
+    }
     issuedScratch.reserve(16);
 }
 
@@ -81,118 +102,181 @@ BatchedOooCore::nextOp()
     return source->next();
 }
 
-int
-BatchedOooCore::stageOf(std::size_t position) const
-{
-    const int stage =
-        static_cast<int>(position) / prm.window.entriesPerStage();
-    return stage >= prm.window.wakeupStages ? prm.window.wakeupStages - 1
-                                            : stage;
-}
-
 std::int64_t
 BatchedOooCore::depReady(InflightRef producer, int stage) const
 {
-    // The reference WakeupOracle::dependentReadyCycle, devirtualized.
-    if (aIssueCycle[producer] < 0)
-        return -1;
+    // The reference WakeupOracle::dependentReadyCycle for an issued
+    // producer, devirtualized.
     const int wakeup = prm.issueLatency + prm.extraWakeup + stage;
     const int spacing =
         aDepLat[producer] > wakeup ? aDepLat[producer] : wakeup;
     return aIssueCycle[producer] + spacing;
 }
 
-bool
-BatchedOooCore::wokenEntry(WinEntry &entry, std::size_t position,
-                           std::int64_t when) const
+std::size_t
+BatchedOooCore::positionOf(std::size_t slot) const
 {
-    const int stage = stageOf(position);
-    bool allReady = true;
-    for (int s = 0; s < 2; ++s) {
-        const InflightRef producer = entry.producers[s];
-        if (producer == invalidRef)
-            continue;
-        if (entry.srcReadyAt[s] < 0) {
-            const std::int64_t ready = depReady(producer, stage);
-            if (ready < 0) {
-                allReady = false;
-                continue;
-            }
-            entry.srcReadyAt[s] = ready;
-        }
-        if (entry.srcReadyAt[s] > when)
-            allReady = false;
-    }
-    return allReady;
+    // Entries older than the one in `slot`, which lies in the last
+    // arena's worth of dispatched sequence numbers; bits below winLo are
+    // never set.
+    const std::uint64_t seq =
+        dispatchSeq - 1 - ((dispatchSeq - 1 - slot) & slotMask);
+    std::size_t pos = 0;
+    for (std::uint64_t w = winLo >> 6; w < seq >> 6; ++w)
+        pos += std::popcount(inWin[w & wordMask]);
+    const std::uint64_t below = (1ull << (seq & 63)) - 1;
+    return pos + std::popcount(inWin[(seq >> 6) & wordMask] & below);
 }
 
 void
-BatchedOooCore::wakeupPass(std::int64_t when)
+BatchedOooCore::schedule(std::size_t slot)
 {
-    // Idempotent within a cycle: a cached awake result stays valid, and
-    // the frozen per-source cycles depend only on producer schedules and
-    // the entry's position, neither of which moves between passes.
-    for (std::size_t i = 0; i < win.size(); ++i) {
-        if (!win[i].awake)
-            win[i].awake = wokenEntry(win[i], i, now);
+    // Due now: ready.  Otherwise into the bucket of its wake cycle; a
+    // wake beyond the wheel parks in the farthest bucket and is
+    // rescheduled from there.
+    const std::int64_t at = wWakeAt[slot];
+    if (at <= now) {
+        ready[wClass[slot]][slot >> 6] |= 1ull << (slot & 63);
+        ++readyCount;
+        return;
     }
-    (void)when;
+    const std::size_t b =
+        std::min<std::int64_t>(at, now + wheelSize - 1) & (wheelSize - 1);
+    wheelNext[slot] = wheelHead[b];
+    wheelHead[b] = static_cast<std::uint32_t>(slot);
+    wheelBusy[b >> 6] |= 1ull << (b & 63);
+}
+
+void
+BatchedOooCore::wakeDue()
+{
+    const std::size_t b = now & (wheelSize - 1);
+    if ((wheelBusy[b >> 6] & (1ull << (b & 63))) == 0)
+        return;
+    std::uint32_t slot = wheelHead[b];
+    wheelHead[b] = noNode;
+    wheelBusy[b >> 6] &= ~(1ull << (b & 63));
+    while (slot != noNode) {
+        const std::uint32_t next = wheelNext[slot];
+        schedule(slot);
+        slot = next;
+    }
+}
+
+std::int64_t
+BatchedOooCore::nextWake() const
+{
+    // The first busy bucket after now's: a lower bound on the next wake
+    // (exact unless it holds only parked far wakes).
+    const std::size_t from = (now + 1) & (wheelSize - 1);
+    constexpr std::size_t words = wheelSize / 64;
+    for (std::size_t i = 0; i <= words; ++i) {
+        const std::size_t w = ((from >> 6) + i) % words;
+        std::uint64_t bits = wheelBusy[w];
+        if (i == 0)
+            bits &= ~0ull << (from & 63);
+        if (bits != 0) {
+            const std::size_t b = w << 6 | std::countr_zero(bits);
+            return now + 1 + ((b - from) & (wheelSize - 1));
+        }
+    }
+    return std::numeric_limits<std::int64_t>::max();
 }
 
 void
 BatchedOooCore::selectAndRemove()
 {
-    wakeupPass(now);
+    wakeDue();
+    issuedScratch.clear();
+    if (readyCount == 0)
+        return; // preselect latches only ready entries: none to clear
 
+    // Oldest-first over the ready masks, skipping classes whose issue
+    // slots are spent.  Stages are pre-compaction positions.
     const bool partitioned =
         prm.window.select == SelectModel::Partitioned;
     int intLeft = prm.intIssueWidth;
     int fpLeft = prm.fpIssueWidth;
     int memLeft = prm.memIssueWidth;
-    issuedScratch.clear();
-    std::size_t out = 0;
-    for (std::size_t i = 0; i < win.size(); ++i) {
-        const WinEntry &e = win[i];
-        bool take = e.awake &&
-                    (!partitioned || stageOf(i) == 0 || e.preselected);
-        if (take) {
-            if (e.fp) {
-                take = fpLeft > 0;
-                fpLeft -= take;
-            } else if (e.mem) {
-                take = memLeft > 0 && intLeft > 0;
-                memLeft -= take;
-                intLeft -= take;
-            } else {
-                take = intLeft > 0;
-                intLeft -= take;
-            }
-        }
-        if (take) {
-            issuedScratch.push_back(e.ref);
-        } else {
-            win[out++] = e;
-        }
-    }
-    win.resize(out);
-
-    if (partitioned) {
-        std::array<int, 8> capLeft = prm.window.preselectCap;
-        for (std::size_t i = 0; i < win.size(); ++i) {
-            WinEntry &e = win[i];
-            e.preselected = false;
-            const int stage = stageOf(i);
-            if (stage == 0)
+    std::size_t older = 0;
+    for (std::uint64_t w = winLo >> 6; w <= (dispatchSeq - 1) >> 6; ++w) {
+        const std::size_t wi = w & wordMask;
+        const auto open = [&] {
+            return (intLeft > 0 ? ready[intClass][wi] : 0) |
+                   (intLeft > 0 && memLeft > 0 ? ready[memClass][wi] : 0) |
+                   (fpLeft > 0 ? ready[fpClass][wi] : 0);
+        };
+        for (std::uint64_t cand = open(); cand != 0;) {
+            const std::uint64_t bit = cand & -cand;
+            cand &= ~bit;
+            if (partitioned && (presel[wi] & bit) == 0 &&
+                stageAt[older + std::popcount(inWin[wi] & (bit - 1))] != 0) {
                 continue;
-            if (!e.awake)
-                e.awake = wokenEntry(e, i, now);
-            const int capIdx = stage - 1;
-            if (e.awake && capIdx < static_cast<int>(capLeft.size()) &&
+            }
+            const std::size_t slot = (w << 6 | std::countr_zero(bit)) &
+                                     slotMask;
+            if (ready[fpClass][wi] & bit) {
+                --fpLeft;
+            } else {
+                memLeft -= (ready[memClass][wi] & bit) != 0;
+                --intLeft;
+            }
+            issuedScratch.push_back(static_cast<InflightRef>(slot));
+            cand &= open();
+        }
+        older += std::popcount(inWin[wi]);
+        if (intLeft == 0 && fpLeft == 0)
+            break;
+    }
+
+    // Compaction: issued entries leave the window and every mask.
+    for (const InflightRef ref : issuedScratch) {
+        const std::size_t wi = ref >> 6;
+        const std::uint64_t keep = ~(1ull << (ref & 63));
+        inWin[wi] &= keep;
+        ready[wClass[ref]][wi] &= keep;
+        presel[wi] &= keep;
+    }
+    winCount -= issuedScratch.size();
+    readyCount -= issuedScratch.size();
+    if (winCount == 0) {
+        winLo = dispatchSeq;
+    } else {
+        std::uint64_t w = winLo >> 6;
+        std::uint64_t m = inWin[w & wordMask] & (~0ull << (winLo & 63));
+        while (m == 0)
+            m = inWin[++w & wordMask];
+        winLo = w << 6 | std::countr_zero(m);
+    }
+
+    if (partitioned)
+        preselect();
+}
+
+void
+BatchedOooCore::preselect()
+{
+    // Latch next cycle's preselection at the compacted positions: per
+    // non-first stage, its oldest ready entries up to the stage's cap.
+    std::array<int, 8> capLeft = prm.window.preselectCap;
+    std::size_t older = 0;
+    for (std::uint64_t w = winLo >> 6;
+         winCount != 0 && w <= (dispatchSeq - 1) >> 6; ++w) {
+        const std::size_t wi = w & wordMask;
+        presel[wi] = 0;
+        std::uint64_t cand =
+            ready[intClass][wi] | ready[memClass][wi] | ready[fpClass][wi];
+        for (; cand != 0; cand &= cand - 1) {
+            const std::uint64_t bit = cand & -cand;
+            const int capIdx =
+                stageAt[older + std::popcount(inWin[wi] & (bit - 1))] - 1;
+            if (capIdx >= 0 && capIdx < static_cast<int>(capLeft.size()) &&
                 capLeft[capIdx] > 0) {
                 --capLeft[capIdx];
-                e.preselected = true;
+                presel[wi] |= bit;
             }
         }
+        older += std::popcount(inWin[wi]);
     }
 }
 
@@ -208,7 +292,15 @@ BatchedOooCore::resetState()
     lsqOccupancy = 0;
     mispredictShadowEnd = 0;
     renameMap.fill(noProducer);
-    win.clear();
+    std::fill(inWin.begin(), inWin.end(), 0);
+    for (auto &mask : ready)
+        std::fill(mask.begin(), mask.end(), 0);
+    std::fill(presel.begin(), presel.end(), 0);
+    winLo = 0;
+    winCount = 0;
+    readyCount = 0;
+    wheelHead.fill(noNode);
+    wheelBusy.fill(0);
 }
 
 void
@@ -257,6 +349,18 @@ BatchedOooCore::doIssue()
             haltingBranch = ~0ull;
             mispredictShadowEnd = fetchResumeCycle + frontDepth;
         }
+        // The broadcast reaches each waiting consumer at the stage it
+        // holds after this cycle's compaction.
+        for (std::uint32_t node = wakeHead[ref]; node != noNode;
+             node = wakeNext[node]) {
+            const std::size_t slot = node >> 1;
+            const int stage = prm.window.wakeupStages == 1
+                                  ? 0
+                                  : stageAt[positionOf(slot)];
+            wWakeAt[slot] = std::max(wWakeAt[slot], depReady(ref, stage));
+            if (--wPending[slot] == 0)
+                schedule(slot);
+        }
     }
 }
 
@@ -269,7 +373,7 @@ BatchedOooCore::doDispatch(SimResult &result)
         const std::size_t h = slotIx(dispatchSeq);
         if (aDispatchReady[h] > now)
             return;
-        if (win.size() >= static_cast<std::size_t>(prm.window.capacity)) {
+        if (winCount >= static_cast<std::size_t>(prm.window.capacity)) {
             if (i == 0)
                 ++result.dispatchWindowFull;
             return;
@@ -287,25 +391,35 @@ BatchedOooCore::doDispatch(SimResult &result)
             return;
         }
 
-        WinEntry e;
-        e.ref = static_cast<InflightRef>(dispatchSeq & slotMask);
-        e.seq = dispatchSeq;
-        e.fp = isa::isFloat(aCls[h]);
-        e.mem = memOp;
-        e.awake = false;
-        e.preselected = false;
-        e.producers = {invalidRef, invalidRef};
-        e.srcReadyAt = {-1, -1};
-        int nsrc = 0;
+        // Sources whose producers already issued freeze at the entry's
+        // dispatch position; the rest wait on their producers' lists.
+        wClass[h] = isa::isFloat(aCls[h]) ? fpClass
+                    : memOp               ? memClass
+                                          : intClass;
+        wPending[h] = 0;
+        wWakeAt[h] = -1;
+        const int stage = stageAt[winCount];
+        std::uint32_t node = static_cast<std::uint32_t>(h) * 2;
         for (const std::int16_t src : {aSrc1[h], aSrc2[h]}) {
             if (src == isa::noReg)
                 continue;
             const std::uint64_t pseq = renameMap[src];
-            if (pseq != noProducer && pseq >= commitSeq) {
-                e.producers[nsrc++] =
-                    static_cast<InflightRef>(pseq & slotMask);
+            if (pseq == noProducer || pseq < commitSeq)
+                continue;
+            const auto p = static_cast<InflightRef>(pseq & slotMask);
+            if (aIssueCycle[p] >= 0) {
+                wWakeAt[h] = std::max(wWakeAt[h], depReady(p, stage));
+            } else {
+                ++wPending[h];
+                wakeNext[node] = wakeHead[p];
+                wakeHead[p] = node++;
             }
         }
+        inWin[h >> 6] |= 1ull << (h & 63);
+        if (winCount++ == 0)
+            winLo = dispatchSeq;
+        if (wPending[h] == 0)
+            schedule(h);
 
         aExecLat[h] = prm.execLatency(aCls[h]);
         aDepLat[h] = aExecLat[h];
@@ -324,7 +438,6 @@ BatchedOooCore::doDispatch(SimResult &result)
         if (memOp)
             ++lsqOccupancy;
 
-        win.push_back(e);
         ++dispatchSeq;
     }
 }
@@ -349,6 +462,7 @@ BatchedOooCore::doFetch(SimResult &result)
             aOp[h] = op;
         aDispatchReady[h] = now + frontDepth;
         aIssueCycle[h] = -1;
+        wakeHead[h] = noNode;
         aDoneCycle[h] = -1;
         aExecLat[h] = 1;
         aDepLat[h] = 1;
@@ -430,35 +544,14 @@ BatchedOooCore::skipIdleSpan(SimResult &result, OccupancySample &occ,
         // wake event, folded in below.
     }
 
-    // Issue: any awake entry can be selected (or latched by preselect),
-    // so the window must be entirely asleep.  The pre-freeze performed
-    // by this wakeup pass is exactly what the cycle's own pass would
-    // compute — producer schedules and entry positions cannot change
-    // between here and doIssue.
-    wakeupPass(now);
-    for (const WinEntry &e : win) {
-        if (e.awake)
-            return 0;
-    }
-    // First wake event: entries whose sources' wakeup cycles are all
-    // frozen wake at their max.  Entries waiting on an unissued
-    // producer cannot wake before some other entry issues, which
-    // requires a wake event of its own — they never bound the span.
-    for (const WinEntry &e : win) {
-        bool known = true;
-        std::int64_t wake = -1;
-        for (int s = 0; s < 2; ++s) {
-            if (e.producers[s] == invalidRef)
-                continue;
-            if (e.srcReadyAt[s] < 0) {
-                known = false;
-                break;
-            }
-            wake = std::max(wake, e.srcReadyAt[s]);
-        }
-        if (known && wake > now)
-            event = std::min(event, wake);
-    }
+    // Issue: a ready entry can be selected (or latched by preselect), so
+    // nothing may be ready; the wake calendar bounds the span.  Entries
+    // still waiting on an unissued producer cannot wake
+    // before some other entry issues — they never bound the span.
+    wakeDue();
+    if (readyCount != 0)
+        return 0;
+    event = std::min(event, nextWake());
 
     // Dispatch: blocked on a future ready cycle (bounds the span) or on
     // a structural limit that cannot clear while nothing commits or
@@ -468,7 +561,7 @@ BatchedOooCore::skipIdleSpan(SimResult &result, OccupancySample &occ,
         const std::size_t h = slotIx(dispatchSeq);
         if (aDispatchReady[h] > now) {
             event = std::min(event, aDispatchReady[h]);
-        } else if (win.size() >=
+        } else if (winCount >=
                    static_cast<std::size_t>(prm.window.capacity)) {
             dispatchCounter = &result.dispatchWindowFull;
         } else if (dispatchSeq - commitSeq >=
@@ -528,7 +621,7 @@ BatchedOooCore::skipIdleSpan(SimResult &result, OccupancySample &occ,
     if (dispatchCounter != nullptr)
         *dispatchCounter += static_cast<std::uint64_t>(n);
     occ.robSum += (dispatchSeq - commitSeq) * static_cast<std::uint64_t>(n);
-    occ.windowSum += win.size() * static_cast<std::uint64_t>(n);
+    occ.windowSum += winCount * static_cast<std::uint64_t>(n);
     occ.frontSum += (fetchSeq - dispatchSeq) * static_cast<std::uint64_t>(n);
     occ.lsqSum += static_cast<std::uint64_t>(lsqOccupancy) *
                   static_cast<std::uint64_t>(n);
@@ -605,7 +698,7 @@ BatchedOooCore::run(trace::TraceSource &trace, std::uint64_t instructions,
             ++result.stalls[classifyStall()];
         }
         occ.robSum += dispatchSeq - commitSeq;
-        occ.windowSum += win.size();
+        occ.windowSum += winCount;
         occ.frontSum += fetchSeq - dispatchSeq;
         occ.lsqSum += static_cast<std::uint64_t>(lsqOccupancy);
         ++occ.cycles;
@@ -660,7 +753,7 @@ BatchedOooCore::watchdogDump(const SimResult &result, std::uint64_t total,
     dump.committed = result.instructions;
     dump.target = total;
     dump.robOccupancy = dispatchSeq - commitSeq;
-    dump.windowOccupancy = win.size();
+    dump.windowOccupancy = winCount;
     dump.frontEndOccupancy = fetchSeq - dispatchSeq;
     dump.lsqOccupancy = lsqOccupancy;
     if (commitSeq != dispatchSeq) {

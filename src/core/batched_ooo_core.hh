@@ -7,13 +7,22 @@
  *  - struct-of-arrays in-flight arena (the per-cycle hot scalars live in
  *    dense typed arrays indexed by sequence slot, not an array of
  *    DynInst structs);
- *  - the issue window inlined with a non-virtual wakeup query, removing
- *    the WakeupOracle virtual dispatch from the hottest loop;
+ *  - an event-driven issue window in place of per-cycle scans: dispatch
+ *    puts each entry on its unissued producers' wake lists; issue walks
+ *    the issued producer's list and freezes each consumer's wakeup
+ *    cycle at its post-compaction stage; an entry whose last source
+ *    freezes waits in a wake calendar (a timing wheel of per-cycle
+ *    buckets) and then joins an age-ordered ready mask (one per
+ *    int/mem/fp class, one bit per sequence slot, so window position
+ *    is a popcount of the in-window mask);
+ *  - select takes the oldest ready entries with count-trailing-zeros
+ *    over those masks, under the same width and preselect rules;
  *  - devirtualized trace reads when fed a trace::DecodedTraceView;
  *  - shared prewarm state via core::WarmStartCache;
- *  - idle-span skipping: spans where commit, issue, dispatch and fetch
- *    are all provably inert (no awake window entry, every stage blocked
- *    on a known future event) are charged in bulk instead of walked.
+ *  - idle spans where commit, issue, dispatch and fetch are all provably
+ *    inert are charged in bulk; "nothing ready" and "next wake event"
+ *    are the ready count and the first busy calendar bucket, with no
+ *    window scan.
  *
  * DESIGN.md §14 is the contract: none of these may change bytes.
  */
@@ -68,19 +77,6 @@ class BatchedOooCore : public Core
     }
 
   private:
-    /** One issue-window entry; the same state window.cc keeps. */
-    struct WinEntry
-    {
-        InflightRef ref;
-        std::uint64_t seq;
-        bool fp;
-        bool mem;
-        bool awake;
-        bool preselected;
-        std::array<InflightRef, 2> producers;
-        std::array<std::int64_t, 2> srcReadyAt;
-    };
-
     void resetState();
     util::DeadlockDump watchdogDump(const SimResult &result,
                                     std::uint64_t total,
@@ -92,14 +88,15 @@ class BatchedOooCore : public Core
     StallCause classifyStall() const;
     isa::MicroOp nextOp();
 
-    // Inlined issue-window algorithm (window.cc semantics, devirtualized
+    // Event-driven issue window (window.cc semantics, devirtualized
     // wakeup, stats omitted — they are not part of SimResult).
-    int stageOf(std::size_t position) const;
     std::int64_t depReady(InflightRef producer, int stage) const;
-    bool wokenEntry(WinEntry &entry, std::size_t position,
-                    std::int64_t when) const;
-    void wakeupPass(std::int64_t when);
+    std::size_t positionOf(std::size_t slot) const;
+    void schedule(std::size_t slot);
+    void wakeDue();
+    std::int64_t nextWake() const;
     void selectAndRemove();
+    void preselect();
 
     /** Bulk-account a provably-idle span; returns cycles skipped. */
     std::int64_t skipIdleSpan(SimResult &result, OccupancySample &occ,
@@ -130,8 +127,32 @@ class BatchedOooCore : public Core
     std::vector<isa::MicroOp> aOp;
     std::uint64_t slotMask = 0;
 
-    // Issue window (age order, oldest first).
-    std::vector<WinEntry> win;
+    // Issue window: bit masks over sequence slots (word = seq >> 6), so
+    // scanning words upward from the oldest entry visits age order.
+    std::vector<int> stageAt; ///< window stage by age position
+    std::vector<std::uint64_t> inWin;
+    std::array<std::vector<std::uint64_t>, 3> ready; ///< int, mem, fp
+    std::vector<std::uint64_t> presel; ///< latched by last cycle's preselect
+    std::uint64_t wordMask = 0;
+    std::uint64_t winLo = 0; ///< seq of the oldest entry (if any)
+    std::size_t winCount = 0;
+    std::size_t readyCount = 0;
+    // Per window entry, by slot: its ready-mask class, its sources not
+    // yet frozen, and the max frozen source wakeup cycle.
+    std::vector<std::uint8_t> wClass;
+    std::vector<std::uint8_t> wPending;
+    std::vector<std::int64_t> wWakeAt;
+    // Wake lists: consumer source node (slot * 2 + source) chains headed
+    // by producer slot.
+    std::vector<std::uint32_t> wakeHead;
+    std::vector<std::uint32_t> wakeNext;
+    // Wake calendar: a timing wheel, one bucket per cycle over the next
+    // wheelSize cycles; bucket lists chain slots through wheelNext, and
+    // a busy bit marks each non-empty bucket.
+    static constexpr std::size_t wheelSize = 256;
+    std::array<std::uint32_t, wheelSize> wheelHead{};
+    std::array<std::uint64_t, wheelSize / 64> wheelBusy{};
+    std::vector<std::uint32_t> wheelNext;
     std::vector<InflightRef> issuedScratch;
 
     std::uint64_t fetchSeq = 0;

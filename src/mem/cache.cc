@@ -1,5 +1,7 @@
 #include "mem/cache.hh"
 
+#include <bit>
+
 #include "util/logging.hh"
 
 namespace fo4::mem
@@ -44,18 +46,22 @@ Cache::Cache(const CacheParams &params)
     if (const auto st = prm.validate(); !st.isOk())
         throw util::ConfigError("cache geometry: " + st.message());
     lines.resize(prm.sets() * prm.associativity);
+    // Both are powers of two (validated), so the per-access address split
+    // is a shift and a mask rather than three 64-bit divisions.
+    lineShift = static_cast<unsigned>(std::countr_zero(prm.lineBytes));
+    setMask = prm.sets() - 1;
 }
 
 std::uint64_t
 Cache::lineAddr(std::uint64_t addr) const
 {
-    return addr / prm.lineBytes;
+    return addr >> lineShift;
 }
 
 std::uint64_t
 Cache::setIndex(std::uint64_t addr) const
 {
-    return lineAddr(addr) & (prm.sets() - 1);
+    return lineAddr(addr) & setMask;
 }
 
 bool

@@ -77,6 +77,8 @@ class Cache
     std::uint64_t setIndex(std::uint64_t addr) const;
 
     CacheParams prm;
+    unsigned lineShift = 0;    // log2(lineBytes)
+    std::uint64_t setMask = 0; // sets - 1
     std::vector<Line> lines; // sets * associativity, set-major
     std::uint64_t useClock = 0;
     util::Counter hits_;

@@ -167,6 +167,51 @@ TEST(CoreDifferential, RandomizedConfigsAreByteIdentical)
     }
 }
 
+TEST(CoreDifferential, WideAndSegmentedWindowsAreByteIdentical)
+{
+    // Out-of-order windows past one 64-bit mask word, every segmented
+    // depth and both select models, at the deepest and the baseline
+    // clock: the longest (memory-bound mcf at 2 FO4) and the shortest
+    // (swim at 17.4 FO4) wake horizons.
+    for (const char *bench : {"181.mcf", "171.swim"}) {
+        const auto job =
+            study::BenchJob::fromProfile(trace::spec2000Profile(bench));
+        for (const double u : {2.0, 17.4}) {
+            const auto clock = study::scaledClock(u);
+            auto spec = baseSpec();
+            spec.model = study::CoreModel::OutOfOrder;
+            for (const int capacity : {63, 64, 65, 128, 200}) {
+                for (int stages = 1; stages <= 8; ++stages) {
+                    for (const auto select : {core::SelectModel::Full,
+                                              core::SelectModel::Partitioned}) {
+                        auto params = study::scaledCoreParams(u, {});
+                        params.window.capacity = capacity;
+                        params.window.wakeupStages = stages;
+                        params.window.select = select;
+                        params.window.preselectCap = {3, 1, 2, 0,
+                                                      1, 2, 1, 4};
+                        params.robSize = stages % 2 ? 512 : capacity;
+                        const auto reference =
+                            runOne(params, clock, job, spec,
+                                   study::SimImpl::Reference);
+                        ASSERT_NE(reference.find("|Ok|"), std::string::npos)
+                            << reference;
+                        EXPECT_EQ(runOne(params, clock, job, spec,
+                                         study::SimImpl::Batched),
+                                  reference)
+                            << bench << " t_useful=" << u
+                            << " capacity=" << capacity
+                            << " stages=" << stages << " select="
+                            << (select == core::SelectModel::Full
+                                    ? "full"
+                                    : "partitioned");
+                    }
+                }
+            }
+        }
+    }
+}
+
 TEST(CoreDifferential, ClockPeriodSweepColumnIsByteIdentical)
 {
     // The batched path's home ground: one benchmark across every clock

@@ -1,10 +1,16 @@
 /**
  * @file
  * Integration tests for the out-of-order core using hand-built traces
- * with known timing behaviour.
+ * with known timing behaviour, run on both engines: a wake-list or
+ * select bug in the batched core fails here with a readable timing
+ * message, not only as a differential hash mismatch.
  */
 
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <ostream>
+#include <string>
 
 #include "core/core.hh"
 #include "trace/generator.hh"
@@ -77,64 +83,101 @@ serialChain(int n, OpClass cls = OpClass::IntAlu)
     return ops;
 }
 
+/** Builds an out-of-order core: the reference or the batched engine. */
+using CoreFactory = std::unique_ptr<Core> (*)(const CoreParams &,
+                                              const std::string &);
+
 double
-ipcOf(const CoreParams &params, std::vector<MicroOp> ops,
+ipcOf(CoreFactory make, const CoreParams &params, std::vector<MicroOp> ops,
       std::uint64_t n = 20000, const char *pred = "perfect")
 {
     VectorTrace trace(std::move(ops));
-    auto core = makeOooCore(params, pred);
+    auto core = make(params, pred);
     return core->run(trace, n).ipc();
 }
 
-} // namespace
-
-TEST(OooCore, IndependentOpsReachFullWidth)
+/** A core factory under the name the parameterized tests print. */
+struct Engine
 {
-    const auto p = CoreParams::alpha21264();
-    EXPECT_NEAR(ipcOf(p, independentAlus(64)), 4.0, 0.05);
+    const char *name;
+    CoreFactory make;
+};
+
+void
+PrintTo(const Engine &engine, std::ostream *os)
+{
+    *os << engine.name;
 }
 
-TEST(OooCore, SerialAluChainIsBackToBack)
+class OooEngine : public ::testing::TestWithParam<Engine>
+{
+};
+
+} // namespace
+
+/**
+ * Defines a directed test once, as a function of the core factory
+ * `make`, and runs it on both engines: the reference core as
+ * OooCore.<Name> (the name predates the batched engine), the batched
+ * core as Engines/OooEngine.<Name>/batched.
+ */
+#define OOO_DIRECTED_TEST(Name)                                       \
+    static void Name##On(CoreFactory make);                           \
+    TEST(OooCore, Name) { Name##On(makeOooCore); }                    \
+    TEST_P(OooEngine, Name) { Name##On(GetParam().make); }            \
+    static void Name##On(CoreFactory make)
+
+INSTANTIATE_TEST_SUITE_P(Engines, OooEngine,
+                         ::testing::Values(Engine{"batched",
+                                                  &makeBatchedOooCore}));
+
+OOO_DIRECTED_TEST(IndependentOpsReachFullWidth)
+{
+    const auto p = CoreParams::alpha21264();
+    EXPECT_NEAR(ipcOf(make, p, independentAlus(64)), 4.0, 0.05);
+}
+
+OOO_DIRECTED_TEST(SerialAluChainIsBackToBack)
 {
     // 1-cycle ALU with a 1-cycle wakeup loop: one op per cycle.
     const auto p = CoreParams::alpha21264();
-    EXPECT_NEAR(ipcOf(p, serialChain(64)), 1.0, 0.02);
+    EXPECT_NEAR(ipcOf(make, p, serialChain(64)), 1.0, 0.02);
 }
 
-TEST(OooCore, SerialMultiplyChainPacedByLatency)
+OOO_DIRECTED_TEST(SerialMultiplyChainPacedByLatency)
 {
     // 7-cycle multiplies in a chain: one op per 7 cycles.
     const auto p = CoreParams::alpha21264();
-    EXPECT_NEAR(ipcOf(p, serialChain(64, OpClass::IntMult), 5000),
+    EXPECT_NEAR(ipcOf(make, p, serialChain(64, OpClass::IntMult), 5000),
                 1.0 / 7.0, 0.005);
 }
 
-TEST(OooCore, WakeupLoopBreaksBackToBack)
+OOO_DIRECTED_TEST(WakeupLoopBreaksBackToBack)
 {
     // A 2-cycle issue window spaces dependent 1-cycle ops 2 cycles apart
     // (paper Section 4.6: the issue-wakeup critical loop).
     auto p = CoreParams::alpha21264();
     p.issueLatency = 2;
-    EXPECT_NEAR(ipcOf(p, serialChain(64)), 0.5, 0.01);
+    EXPECT_NEAR(ipcOf(make, p, serialChain(64)), 0.5, 0.01);
 }
 
-TEST(OooCore, WakeupLoopHidesUnderLongLatency)
+OOO_DIRECTED_TEST(WakeupLoopHidesUnderLongLatency)
 {
     // The same 2-cycle loop is invisible under 7-cycle multiplies: tags
     // ripple while the producer executes.
     auto p = CoreParams::alpha21264();
     p.issueLatency = 2;
-    EXPECT_NEAR(ipcOf(p, serialChain(64, OpClass::IntMult), 5000),
+    EXPECT_NEAR(ipcOf(make, p, serialChain(64, OpClass::IntMult), 5000),
                 1.0 / 7.0, 0.005);
 }
 
-TEST(OooCore, ExtraWakeupExtension)
+OOO_DIRECTED_TEST(ExtraWakeupExtension)
 {
     // Figure 8's loop extension: +3 cycles on the wakeup loop paces a
     // 1-cycle chain at one op per 4 cycles.
     auto p = CoreParams::alpha21264();
     p.extraWakeup = 3;
-    EXPECT_NEAR(ipcOf(p, serialChain(64), 5000), 0.25, 0.01);
+    EXPECT_NEAR(ipcOf(make, p, serialChain(64), 5000), 0.25, 0.01);
 }
 
 namespace
@@ -161,22 +204,22 @@ loadUseChain(int pairs)
 
 } // namespace
 
-TEST(OooCore, LoadUseChainPacedByCacheLatency)
+OOO_DIRECTED_TEST(LoadUseChainPacedByCacheLatency)
 {
     // load -> alu -> load -> alu ... with 3-cycle DL1 hits: each pair
     // takes 3 + 1 cycles.
     const auto p = CoreParams::alpha21264();
-    EXPECT_NEAR(ipcOf(p, loadUseChain(30), 10000), 2.0 / 4.0, 0.02);
+    EXPECT_NEAR(ipcOf(make, p, loadUseChain(30), 10000), 2.0 / 4.0, 0.02);
 }
 
-TEST(OooCore, ExtraLoadUseExtension)
+OOO_DIRECTED_TEST(ExtraLoadUseExtension)
 {
     auto p = CoreParams::alpha21264();
     p.extraLoadUse = 2;
-    EXPECT_NEAR(ipcOf(p, loadUseChain(30), 10000), 2.0 / 6.0, 0.02);
+    EXPECT_NEAR(ipcOf(make, p, loadUseChain(30), 10000), 2.0 / 6.0, 0.02);
 }
 
-TEST(OooCore, MemIssueWidthCapsLoads)
+OOO_DIRECTED_TEST(MemIssueWidthCapsLoads)
 {
     // Independent loads (no address register, distinct destination
     // registers): limited to memIssueWidth per cycle.
@@ -189,10 +232,10 @@ TEST(OooCore, MemIssueWidthCapsLoads)
     }
     auto p = CoreParams::alpha21264();
     p.memIssueWidth = 2;
-    EXPECT_NEAR(ipcOf(p, ops, 20000), 2.0, 0.05);
+    EXPECT_NEAR(ipcOf(make, p, ops, 20000), 2.0, 0.05);
 }
 
-TEST(OooCore, OutOfOrderPassesStalledHead)
+OOO_DIRECTED_TEST(OutOfOrderPassesStalledHead)
 {
     // A multiply chain plus independent ALUs: the OoO core sustains the
     // ALU stream while multiplies crawl.
@@ -205,10 +248,10 @@ TEST(OooCore, OutOfOrderPassesStalledHead)
     const auto p = CoreParams::alpha21264();
     // Chain alone would give 1/7; with two independent ops per multiply
     // the core approaches 3 ops per 7 cycles.
-    EXPECT_GT(ipcOf(p, ops, 10000), 0.40);
+    EXPECT_GT(ipcOf(make, p, ops, 10000), 0.40);
 }
 
-TEST(OooCore, MispredictsCostCycles)
+OOO_DIRECTED_TEST(MispredictsCostCycles)
 {
     // All branches taken, "taken" predictor correct vs a never-taken
     // stream mispredicted by it: the latter must be much slower.
@@ -227,12 +270,12 @@ TEST(OooCore, MispredictsCostCycles)
         return ops;
     };
     const auto p = CoreParams::alpha21264();
-    const double good = ipcOf(p, mkops(true), 10000, "taken");
-    const double bad = ipcOf(p, mkops(false), 10000, "taken");
+    const double good = ipcOf(make, p, mkops(true), 10000, "taken");
+    const double bad = ipcOf(make, p, mkops(false), 10000, "taken");
     EXPECT_GT(good, 2.0 * bad);
 }
 
-TEST(OooCore, ExtraMispredictPenaltySlowsMispredictedStream)
+OOO_DIRECTED_TEST(ExtraMispredictPenaltySlowsMispredictedStream)
 {
     auto mkops = [] {
         std::vector<MicroOp> ops;
@@ -247,18 +290,18 @@ TEST(OooCore, ExtraMispredictPenaltySlowsMispredictedStream)
         return ops;
     };
     auto p = CoreParams::alpha21264();
-    const double base = ipcOf(p, mkops(), 10000, "taken");
+    const double base = ipcOf(make, p, mkops(), 10000, "taken");
     p.extraMispredictPenalty = 10;
-    const double extended = ipcOf(p, mkops(), 10000, "taken");
+    const double extended = ipcOf(make, p, mkops(), 10000, "taken");
     EXPECT_LT(extended, base);
 }
 
-TEST(OooCore, DeterministicAcrossRuns)
+OOO_DIRECTED_TEST(DeterministicAcrossRuns)
 {
     const auto prof = fo4::trace::spec2000Profile("164.gzip");
     const auto p = CoreParams::alpha21264();
     fo4::trace::SyntheticTraceGenerator gen(prof);
-    auto core = makeOooCore(p, "tournament");
+    auto core = make(p, "tournament");
     const auto r1 = core->run(gen, 20000, 2000, 50000);
     const auto r2 = core->run(gen, 20000, 2000, 50000);
     EXPECT_EQ(r1.cycles, r2.cycles);
@@ -266,19 +309,19 @@ TEST(OooCore, DeterministicAcrossRuns)
     EXPECT_EQ(r1.dl1Misses, r2.dl1Misses);
 }
 
-TEST(OooCore, PrewarmReducesColdMisses)
+OOO_DIRECTED_TEST(PrewarmReducesColdMisses)
 {
     const auto prof = fo4::trace::spec2000Profile("164.gzip");
     const auto p = CoreParams::alpha21264();
     fo4::trace::SyntheticTraceGenerator gen(prof);
-    auto core = makeOooCore(p, "tournament");
+    auto core = make(p, "tournament");
     const auto cold = core->run(gen, 20000, 0, 0);
     const auto warm = core->run(gen, 20000, 0, 300000);
     EXPECT_LT(warm.dl1Misses, cold.dl1Misses);
     EXPECT_GE(warm.ipc(), cold.ipc());
 }
 
-TEST(OooCore, SegmentedWindowNeverFasterThanMonolithic)
+OOO_DIRECTED_TEST(SegmentedWindowNeverFasterThanMonolithic)
 {
     const auto prof = fo4::trace::spec2000Profile("176.gcc");
     auto p = CoreParams::alpha21264();
@@ -286,35 +329,35 @@ TEST(OooCore, SegmentedWindowNeverFasterThanMonolithic)
     for (int stages : {1, 4, 10}) {
         p.window.wakeupStages = stages;
         fo4::trace::SyntheticTraceGenerator gen(prof);
-        auto core = makeOooCore(p, "tournament");
+        auto core = make(p, "tournament");
         const double ipc = core->run(gen, 30000, 3000, 200000).ipc();
         EXPECT_LE(ipc, prev + 1e-9) << stages << " stages";
         prev = ipc;
     }
 }
 
-TEST(OooCore, PartitionedSelectCostsLittle)
+OOO_DIRECTED_TEST(PartitionedSelectCostsLittle)
 {
     const auto prof = fo4::trace::spec2000Profile("176.gcc");
     auto p = CoreParams::alpha21264();
     p.window.wakeupStages = 4;
     fo4::trace::SyntheticTraceGenerator gen(prof);
-    auto full = makeOooCore(p, "tournament");
+    auto full = make(p, "tournament");
     const double fullIpc = full->run(gen, 30000, 3000, 200000).ipc();
 
     p.window.select = SelectModel::Partitioned;
-    auto part = makeOooCore(p, "tournament");
+    auto part = make(p, "tournament");
     const double partIpc = part->run(gen, 30000, 3000, 200000).ipc();
 
     EXPECT_LE(partIpc, fullIpc + 1e-9);
     EXPECT_GT(partIpc, 0.85 * fullIpc); // paper: about 4% loss
 }
 
-TEST(OooCore, CountsEventClasses)
+OOO_DIRECTED_TEST(CountsEventClasses)
 {
     const auto prof = fo4::trace::spec2000Profile("164.gzip");
     fo4::trace::SyntheticTraceGenerator gen(prof);
-    auto core = makeOooCore(CoreParams::alpha21264(), "tournament");
+    auto core = make(CoreParams::alpha21264(), "tournament");
     const auto r = core->run(gen, 20000);
     EXPECT_GT(r.branches, 1000u);
     EXPECT_GT(r.loads, 2000u);
@@ -323,11 +366,11 @@ TEST(OooCore, CountsEventClasses)
     EXPECT_LT(r.mispredictRate(), 0.5);
 }
 
-TEST(OooCore, WarmupSubtractionKeepsRates)
+OOO_DIRECTED_TEST(WarmupSubtractionKeepsRates)
 {
     const auto prof = fo4::trace::spec2000Profile("164.gzip");
     fo4::trace::SyntheticTraceGenerator gen(prof);
-    auto core = makeOooCore(CoreParams::alpha21264(), "tournament");
+    auto core = make(CoreParams::alpha21264(), "tournament");
     const auto r = core->run(gen, 20000, 5000, 100000);
     EXPECT_EQ(r.instructions, 20000u);
     EXPECT_GT(r.cycles, 0u);
