@@ -3,7 +3,7 @@
  * fo4ctl — command-line client of the sweep service.
  *
  *   ./fo4ctl submit  [host= port=] [sweep keys] [wait=1 out=file]
- *   ./fo4ctl poll    id=<n> [host= port=]
+ *   ./fo4ctl poll    id=<n> [host= port=] [wait=1]
  *   ./fo4ctl fetch   id=<n> [out=file]
  *   ./fo4ctl cancel  id=<n>
  *   ./fo4ctl stats
@@ -21,6 +21,11 @@
  * svc.cache.miss counters).  A daemon running without cache_dir=
  * reports an empty store and no traffic.
  *
+ * `wait=1` blocks until the job is terminal on server-held polls (the
+ * daemon replies the moment the job settles; no client-side sleep),
+ * printing its status at least every 200 ms: `submit` then fetches the
+ * bytes, `poll` ends on the terminal status.
+ *
  * `local` runs the identical request in-process through the same
  * svc::runSweep code path the daemon uses — `cmp` of a fetched result
  * against a local one is the service's byte-identity check (the CI
@@ -36,6 +41,7 @@
  * are refused).
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
@@ -57,7 +63,7 @@ const std::vector<fo4::util::KeyDoc> kKeys = {
     {"timeout_ms", "per-round-trip deadline, milliseconds (> 0)"},
     {"id", "job id (poll / fetch / cancel)"},
     {"out", "write fetched result bytes to this file (default stdout)"},
-    {"wait", "submit only: poll until terminal, then fetch"},
+    {"wait", "submit / poll: hold until terminal (submit then fetches)"},
     {"jobs", "local only: worker threads (1 = serial, 0 = all cores)"},
     {"bench", "comma list of SPEC 2000 profile names"},
     {"model", "core model: ooo | inorder"},
@@ -187,6 +193,20 @@ requiredId(const fo4::util::Config &cfg)
     return static_cast<std::uint64_t>(cfg.getPositiveInt("id", 0));
 }
 
+/** Status report period of `wait=1`, ms; kept below a short
+ *  timeout_ms so a held poll never outlives the round-trip deadline. */
+int
+statusPeriodMs(const fo4::util::Config &cfg)
+{
+    constexpr int kStatusMs = 200;
+    if (!cfg.has("timeout_ms"))
+        return kStatusMs;
+    return std::max(
+        1, std::min(kStatusMs,
+                    static_cast<int>(cfg.getPositiveInt("timeout_ms", 0)) /
+                        2));
+}
+
 fo4::svc::Client
 connectFromConfig(const fo4::util::Config &cfg)
 {
@@ -296,13 +316,17 @@ remoteMain(const fo4::util::Config &cfg, const std::string &command)
                     static_cast<unsigned long long>(id),
                     static_cast<unsigned long long>(cells));
         if (cfg.getBool("wait", false)) {
-            client.waitUntilDone(id, 200, printStatus);
+            client.waitUntilDone(id, statusPeriodMs(cfg), printStatus);
             writeResults(cfg, client.fetchResults(id));
         }
         return 0;
     }
     if (command == "poll") {
-        printStatus(client.poll(requiredId(cfg)));
+        const std::uint64_t id = requiredId(cfg);
+        if (cfg.getBool("wait", false))
+            client.waitUntilDone(id, statusPeriodMs(cfg), printStatus);
+        else
+            printStatus(client.poll(id));
         return 0;
     }
     if (command == "fetch") {
@@ -351,8 +375,7 @@ remoteMain(const fo4::util::Config &cfg, const std::string &command)
                     static_cast<unsigned long long>(s.completed),
                     static_cast<unsigned long long>(s.failed),
                     static_cast<unsigned long long>(s.cancelled));
-        std::printf("sweep latency: %llu samples, mean log2-bucket "
-                    "%.2f\n",
+        std::printf("sweep latency: %llu samples, mean %.1f ms\n",
                     static_cast<unsigned long long>(s.latencySamples),
                     s.latencyMeanMs);
         std::printf("cache: %llu bytes in %llu entries\n",

@@ -1,5 +1,6 @@
 #include "svc/client.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -108,10 +109,14 @@ Client::submit(const SweepRequest &request)
 }
 
 JobStatusInfo
-Client::poll(std::uint64_t id)
+Client::poll(std::uint64_t id, int waitMs)
 {
+    if (waitMs < 0)
+        throw util::ConfigError("poll wait must be >= 0 milliseconds");
+    const PollRequest request{
+        .id = id, .waitMs = static_cast<std::uint64_t>(waitMs)};
     const Frame response =
-        expect(MsgType::Poll, encodeId(id), MsgType::JobStatus);
+        expect(MsgType::Poll, request.encode(), MsgType::JobStatus);
     return JobStatusInfo::decode(response.body);
 }
 
@@ -152,13 +157,20 @@ Client::waitUntilDone(std::uint64_t id, int pollMs,
                       const std::function<void(const JobStatusInfo &)>
                           &onStatus)
 {
+    if (pollMs <= 0 || pollMs >= opts.ioTimeoutMs) {
+        throw util::ConfigError(util::strprintf(
+            "poll interval %d ms must be in (0, %d) — the round-trip "
+            "deadline",
+            pollMs, opts.ioTimeoutMs));
+    }
+    const int holdMs =
+        std::min(pollMs, static_cast<int>(kMaxPollWaitMs));
     for (;;) {
-        const JobStatusInfo info = poll(id);
+        const JobStatusInfo info = poll(id, holdMs);
         if (onStatus)
             onStatus(info);
         if (info.terminal())
             return info;
-        std::this_thread::sleep_for(std::chrono::milliseconds(pollMs));
     }
 }
 

@@ -13,11 +13,11 @@
  * Resilience: with Options::reconnect (the default), transport
  * failures cost a capped-backoff reconnect cycle instead of the call —
  * a `fo4ctl poll` loop rides out a daemon restart.  The retry guard is
- * idempotency-aware: poll/fetch/cancel/stats/workers re-send freely,
- * but a submit whose request already reached the wire is *never*
- * retried (the daemon may have accepted it; resubmitting would enqueue
- * the sweep twice).  Error frames are verdicts, not transport trouble,
- * and are never retried.
+ * idempotency-aware: poll (held or not), fetch, cancel, stats and
+ * workers re-send freely, but a submit whose request already reached
+ * the wire is *never* retried (the daemon may have accepted it;
+ * resubmitting would enqueue the sweep twice).  Error frames are
+ * verdicts, not transport trouble, and are never retried.
  */
 
 #ifndef FO4_SVC_CLIENT_HH
@@ -75,8 +75,10 @@ class Client
     std::pair<std::uint64_t, std::uint64_t>
     submit(const SweepRequest &request);
 
-    /** One status snapshot. */
-    JobStatusInfo poll(std::uint64_t id);
+    /** One status snapshot.  With `waitMs` > 0 the server holds the
+     *  reply until the job is terminal or `waitMs` runs out (at most
+     *  kMaxPollWaitMs; a longer hold is refused with InvalidConfig). */
+    JobStatusInfo poll(std::uint64_t id, int waitMs = 0);
 
     /** The canonical result bytes of a Done job; rethrows NotReady
      *  while the job is in flight and the job's own typed failure
@@ -94,9 +96,14 @@ class Client
     std::vector<WorkerSnapshot> workers();
 
     /**
-     * Poll until the job is terminal, sleeping `pollMs` between polls
-     * and reporting each status to `onStatus` (may be empty).  Returns
-     * the terminal status; fetch the bytes with fetchResults().
+     * Block until the job is terminal with server-held polls, reporting
+     * each status to `onStatus` (may be empty).  `pollMs` is how often
+     * to report status at the least: each poll asks the server to hold
+     * for min(pollMs, kMaxPollWaitMs), and the reply comes as soon as
+     * the job is terminal — the client never sleeps.  Returns the
+     * terminal status; fetch the bytes with fetchResults().  Throws
+     * ConfigError unless 0 < pollMs < Options::ioTimeoutMs (a longer
+     * hold would trip the read deadline and look like a dead server).
      */
     JobStatusInfo
     waitUntilDone(std::uint64_t id, int pollMs = 200,

@@ -1,7 +1,6 @@
 #include "svc/coordinator.hh"
 
 #include <chrono>
-#include <cmath>
 
 #include "util/logging.hh"
 #include "util/metrics.hh"
@@ -14,25 +13,6 @@ namespace
 
 using util::ErrorCode;
 using util::SvcError;
-
-/** Same log2 latency bucketing as the daemon (svc/server.cc); both
- *  feed the shared "svc.sweep_wall_ms" histogram. */
-constexpr std::size_t kLatencyBuckets = 24;
-
-std::uint64_t
-latencyBucketOf(double wallMs)
-{
-    if (wallMs < 1.0)
-        return 0;
-    return static_cast<std::uint64_t>(std::log2(wallMs + 1.0));
-}
-
-util::MetricHistogram &
-latencyHistogram()
-{
-    return util::MetricsRegistry::global().histogram("svc.sweep_wall_ms",
-                                                     kLatencyBuckets);
-}
 
 util::MetricCounter &
 fabricCounter(const char *name)
@@ -90,7 +70,6 @@ Coordinator::join()
 void
 Coordinator::dispatchLoop()
 {
-    auto &histogram = latencyHistogram();
     auto &workersDead = fabricCounter("svc.fabric.workers_dead");
     while (!stopRequested()) {
         const std::shared_ptr<JobRecord> job = table.takeNext(kTickMs);
@@ -110,11 +89,9 @@ Coordinator::dispatchLoop()
         }
         const auto started = std::chrono::steady_clock::now();
         runOneSweep(job);
-        const double wallMs =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - started)
-                .count();
-        histogram.sample(latencyBucketOf(wallMs));
+        recordSweepWall(std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - started)
+                            .count());
     }
 }
 
@@ -538,31 +515,11 @@ Coordinator::handleWorkers(util::TcpStream &stream)
 StatsSnapshot
 Coordinator::buildStats() const
 {
-    StatsSnapshot s;
-    s.queueDepth = table.queueDepth();
-    s.maxQueue = table.maxQueue();
-    if (const std::shared_ptr<JobRecord> job = table.runningJob()) {
-        s.runningJobs = 1;
-        s.runningCellsStarted = job->cellsStarted.load();
-        s.runningCellsTotal = job->cellsTotal;
-    }
-    s.submitted = table.submitted();
-    s.rejected = table.rejected();
-    s.completed = table.completed();
-    s.failed = table.failed();
-    s.cancelled = table.cancelled();
+    StatsSnapshot s = baseStats();
     if (store) {
         s.cacheBytes = store->blobs().sizeBytes();
         s.cacheEntries = store->blobs().entries();
     }
-
-    const util::MetricHistogram &histogram = latencyHistogram();
-    for (std::size_t i = 0; i < histogram.bucketCount(); ++i)
-        s.latencyBuckets.push_back(histogram.bucket(i));
-    s.latencySamples = histogram.samples();
-    s.latencyMeanMs = histogram.mean();
-
-    s.counters = util::MetricsRegistry::global().snapshotCounters();
     return s;
 }
 

@@ -490,6 +490,13 @@ SweepRequest::decode(std::string_view body)
     return req;
 }
 
+bool
+jobStateTerminal(JobState state)
+{
+    return state == JobState::Done || state == JobState::Failed ||
+           state == JobState::Cancelled;
+}
+
 const char *
 jobStateName(JobState state)
 {
@@ -1023,6 +1030,49 @@ decodeId(std::string_view body)
     if (!id)
         throwProtocol("request body has no id");
     return *id;
+}
+
+std::string
+PollRequest::encode() const
+{
+    std::string out = encodeId(id);
+    if (waitMs != 0)
+        out += util::strprintf("wait_ms=%llu\n",
+                               static_cast<unsigned long long>(waitMs));
+    return out;
+}
+
+PollRequest
+PollRequest::decode(std::string_view body)
+{
+    std::optional<std::uint64_t> id;
+    PollRequest poll;
+    for (const auto line : splitLines(body)) {
+        if (line.empty())
+            continue;
+        const auto [key, value] = splitKeyValue(line);
+        if (key == "id")
+            id = parseU64(value, "id");
+        else if (key == "wait_ms")
+            poll.waitMs = parseU64(value, "wait_ms");
+        else
+            throwProtocol("unknown poll field '" + std::string(key) +
+                          "'");
+    }
+    if (!id)
+        throwProtocol("request body has no id");
+    // Well-formed but out of range: a refusal the session survives,
+    // not a frame that cannot be trusted.
+    if (poll.waitMs > kMaxPollWaitMs) {
+        throw util::SvcError(
+            util::ErrorCode::InvalidConfig,
+            util::strprintf("wait_ms %llu exceeds the %llu ms cap",
+                            static_cast<unsigned long long>(poll.waitMs),
+                            static_cast<unsigned long long>(
+                                kMaxPollWaitMs)));
+    }
+    poll.id = *id;
+    return poll;
 }
 
 std::string

@@ -59,8 +59,10 @@ namespace fo4::svc
  *  strict, so new fields force the bump.
  *  v4 added the Monte Carlo fields of SweepRequest (mc_samples,
  *  mc_dist, mc_sigma_* and mc_seed) — omitted from the wire when
- *  mcSamples == 0, so deterministic request bodies stay byte-stable. */
-constexpr std::uint16_t kProtocolVersion = 4;
+ *  mcSamples == 0, so deterministic request bodies stay byte-stable.
+ *  v5 added the wait_ms field of Poll (a server-held poll, see
+ *  PollRequest) — omitted when 0, so a plain Poll body is the v4 one. */
+constexpr std::uint16_t kProtocolVersion = 5;
 
 /** Frame header: u32 payload length + u32 payload CRC. */
 constexpr std::size_t kFrameHeaderBytes = 8;
@@ -73,7 +75,7 @@ enum class MsgType : std::uint16_t
 {
     // client -> server
     SubmitSweep = 1, ///< body: SweepRequest::encode()
-    Poll = 2,        ///< body: "id=<n>"
+    Poll = 2,        ///< body: PollRequest::encode()
     FetchResults = 3, ///< body: "id=<n>"
     Cancel = 4,      ///< body: "id=<n>"
     Stats = 5,       ///< body: empty
@@ -239,6 +241,9 @@ enum class JobState
     Cancelled,
 };
 
+/** Done, Failed or Cancelled: the job will never change again. */
+bool jobStateTerminal(JobState state);
+
 const char *jobStateName(JobState state);
 JobState jobStateFromName(const std::string &name); ///< throws Protocol
 
@@ -262,8 +267,7 @@ struct JobStatusInfo
     bool
     terminal() const
     {
-        return state == JobState::Done || state == JobState::Failed ||
-               state == JobState::Cancelled;
+        return jobStateTerminal(state);
     }
 
     std::string encode() const;
@@ -418,6 +422,29 @@ std::pair<util::ErrorCode, std::string> decodeError(std::string_view body);
 /** Encode/decode the one-field "id=<n>" request bodies. */
 std::string encodeId(std::uint64_t id);
 std::uint64_t decodeId(std::string_view body); ///< throws Protocol
+
+/** Longest hold a Poll may ask for, ms.  Below every sane client read
+ *  deadline (Client::Options::ioTimeoutMs defaults to 30 s), so a held
+ *  poll never looks like a dead server. */
+constexpr std::uint64_t kMaxPollWaitMs = 10000;
+
+/**
+ * Poll body (protocol v5): "id=<n>" plus an optional "wait_ms=<n>".
+ * With waitMs > 0 the server holds its JobStatus reply until the job
+ * is terminal, the hold runs out, or the server stops — whichever is
+ * first.  waitMs == 0 is a plain snapshot and leaves the field off the
+ * wire, so its body is byte-identical to encodeId(id).
+ */
+struct PollRequest
+{
+    std::uint64_t id = 0;
+    std::uint64_t waitMs = 0;
+
+    std::string encode() const;
+    /** Throws SvcError(Protocol) on a malformed body and
+     *  SvcError(InvalidConfig) for a wait_ms above kMaxPollWaitMs. */
+    static PollRequest decode(std::string_view body);
+};
 
 /** SubmitOk body. */
 std::string encodeSubmitOk(std::uint64_t id, std::uint64_t cellsTotal);

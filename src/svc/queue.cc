@@ -144,6 +144,7 @@ JobTable::markDone(std::uint64_t id, std::string results)
     if (running && running->id == id)
         running = nullptr;
     nCompleted.fetch_add(1);
+    settled.notify_all();
 }
 
 void
@@ -158,6 +159,7 @@ JobTable::markFailed(std::uint64_t id, util::ErrorCode code,
     if (running && running->id == id)
         running = nullptr;
     nFailed.fetch_add(1);
+    settled.notify_all();
 }
 
 void
@@ -169,6 +171,7 @@ JobTable::markCancelled(std::uint64_t id)
     if (running && running->id == id)
         running = nullptr;
     nCancelled.fetch_add(1);
+    settled.notify_all();
 }
 
 JobStatusInfo
@@ -191,6 +194,7 @@ JobTable::cancelJob(std::uint64_t id)
         dropQueuedTenantLocked(*record);
         record->state = JobState::Cancelled;
         nCancelled.fetch_add(1);
+        settled.notify_all();
         break;
       case JobState::Running:
         // Cooperative: the sweep observes the token at its next cell
@@ -207,9 +211,9 @@ JobTable::cancelJob(std::uint64_t id)
 }
 
 JobStatusInfo
-JobTable::status(std::uint64_t id) const
+JobTable::status(std::uint64_t id, std::uint64_t waitMs) const
 {
-    std::lock_guard<std::mutex> lock(mutex);
+    std::unique_lock<std::mutex> lock(mutex);
     const auto it = jobs.find(id);
     if (it == jobs.end()) {
         throw SvcError(ErrorCode::NotFound,
@@ -217,7 +221,13 @@ JobTable::status(std::uint64_t id) const
                                        static_cast<unsigned long long>(
                                            id)));
     }
-    return statusLocked(*it->second, queuePositionLocked(id));
+    const std::shared_ptr<JobRecord> record = it->second;
+    if (waitMs != 0) {
+        settled.wait_for(lock, std::chrono::milliseconds(waitMs), [&] {
+            return stopping || jobStateTerminal(record->state);
+        });
+    }
+    return statusLocked(*record, queuePositionLocked(id));
 }
 
 std::string
@@ -267,6 +277,7 @@ JobTable::shutdown()
     if (running)
         running->cancel.requestCancel();
     cv.notify_all();
+    settled.notify_all();
 }
 
 std::size_t

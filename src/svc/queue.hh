@@ -19,7 +19,8 @@
  *  - a *terminal* job is left alone — cancel is idempotent and always
  *    answers with the job's current status.
  *
- * Threading: one mutex guards the table and queue; per-job progress
+ * Threading: one mutex guards the table and queue; `settled` wakes
+ * held status() calls on terminal transitions; per-job progress
  * (cellsStarted) is a relaxed atomic bumped from worker threads via the
  * runner's onAttempt hook, read without the lock.
  */
@@ -123,8 +124,15 @@ class JobTable
      */
     JobStatusInfo cancelJob(std::uint64_t id);
 
-    /** Status snapshot; throws SvcError(NotFound) for unknown ids. */
-    JobStatusInfo status(std::uint64_t id) const;
+    /**
+     * Status snapshot; throws SvcError(NotFound) for unknown ids.  With
+     * `waitMs` > 0 the snapshot is taken once the job is terminal, the
+     * table shuts down, or `waitMs` runs out, whichever is first — the
+     * server-held Poll.  Every terminal transition (markDone,
+     * markFailed, markCancelled, cancelJob of a queued job) and
+     * shutdown() wakes the waiters.
+     */
+    JobStatusInfo status(std::uint64_t id, std::uint64_t waitMs = 0) const;
 
     /**
      * The result bytes of a Done job; throws SvcError(NotFound) for
@@ -162,6 +170,8 @@ class JobTable
     const std::size_t quota;
     mutable std::mutex mutex;
     std::condition_variable cv;
+    /** Notified (all) on every terminal transition and on shutdown. */
+    mutable std::condition_variable settled;
     bool stopping = false;
     std::uint64_t nextId = 1;
     std::map<std::uint64_t, std::shared_ptr<JobRecord>> jobs;

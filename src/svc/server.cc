@@ -1,7 +1,6 @@
 #include "svc/server.hh"
 
 #include <chrono>
-#include <cmath>
 
 #include "svc/sweep.hh"
 #include "util/logging.hh"
@@ -10,35 +9,8 @@
 namespace fo4::svc
 {
 
-namespace
-{
-
 using util::ErrorCode;
 using util::SvcError;
-
-/**
- * Sweep wall times span four orders of magnitude (a 2-cell smoke sweep
- * to an hour-long grid), so the latency histogram is log2-bucketed:
- * bucket i holds sweeps with wall time in [2^i - 1, 2^(i+1) - 1) ms.
- */
-constexpr std::size_t kLatencyBuckets = 24;
-
-std::uint64_t
-latencyBucketOf(double wallMs)
-{
-    if (wallMs < 1.0)
-        return 0;
-    return static_cast<std::uint64_t>(std::log2(wallMs + 1.0));
-}
-
-util::MetricHistogram &
-latencyHistogram()
-{
-    return util::MetricsRegistry::global().histogram("svc.sweep_wall_ms",
-                                                     kLatencyBuckets);
-}
-
-} // namespace
 
 Server::Server(ServerOptions options)
     : SessionServer(options.port, options.maxQueue, options.tenantQuota),
@@ -90,7 +62,6 @@ Server::handleFrame(util::TcpStream &stream, const Frame &frame)
 void
 Server::dispatchLoop()
 {
-    auto &histogram = latencyHistogram();
     while (!stopRequested()) {
         const std::shared_ptr<JobRecord> job = table.takeNext(kTickMs);
         if (!job)
@@ -157,42 +128,20 @@ Server::dispatchLoop()
         } catch (const std::exception &e) {
             table.markFailed(job->id, ErrorCode::Internal, e.what());
         }
-        const double wallMs =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - started)
-                .count();
-        histogram.sample(latencyBucketOf(wallMs));
+        recordSweepWall(std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - started)
+                            .count());
     }
 }
 
 StatsSnapshot
 Server::buildStats() const
 {
-    StatsSnapshot s;
-    s.queueDepth = table.queueDepth();
-    s.maxQueue = table.maxQueue();
-    if (const std::shared_ptr<JobRecord> job = table.runningJob()) {
-        s.runningJobs = 1;
-        s.runningCellsStarted = job->cellsStarted.load();
-        s.runningCellsTotal = job->cellsTotal;
-    }
-    s.submitted = table.submitted();
-    s.rejected = table.rejected();
-    s.completed = table.completed();
-    s.failed = table.failed();
-    s.cancelled = table.cancelled();
+    StatsSnapshot s = baseStats();
     if (store) {
         s.cacheBytes = store->blobs().sizeBytes();
         s.cacheEntries = store->blobs().entries();
     }
-
-    const util::MetricHistogram &histogram = latencyHistogram();
-    for (std::size_t i = 0; i < histogram.bucketCount(); ++i)
-        s.latencyBuckets.push_back(histogram.bucket(i));
-    s.latencySamples = histogram.samples();
-    s.latencyMeanMs = histogram.mean();
-
-    s.counters = util::MetricsRegistry::global().snapshotCounters();
     return s;
 }
 

@@ -1,5 +1,7 @@
 #include "svc/session_server.hh"
 
+#include <cmath>
+
 #include "svc/sweep.hh"
 #include "util/logging.hh"
 #include "util/metrics.hh"
@@ -9,6 +11,34 @@ namespace fo4::svc
 
 using util::ErrorCode;
 using util::SvcError;
+
+namespace
+{
+
+/**
+ * Sweep wall times span four orders of magnitude (a 2-cell smoke sweep
+ * to an hour-long grid), so the latency histogram is log2-bucketed:
+ * bucket i holds sweeps with wall time in [2^i - 1, 2^(i+1) - 1) ms.
+ * The true mean comes from the running sum "svc.sweep_wall_us".
+ */
+constexpr std::size_t kLatencyBuckets = 24;
+
+std::uint64_t
+latencyBucketOf(double wallMs)
+{
+    if (wallMs < 1.0)
+        return 0;
+    return static_cast<std::uint64_t>(std::log2(wallMs + 1.0));
+}
+
+util::MetricHistogram &
+latencyHistogram()
+{
+    return util::MetricsRegistry::global().histogram("svc.sweep_wall_ms",
+                                                     kLatencyBuckets);
+}
+
+} // namespace
 
 SessionServer::SessionServer(std::uint16_t port, std::size_t maxQueue,
                              std::size_t tenantQuota)
@@ -117,76 +147,97 @@ bool
 SessionServer::handleClientFrame(util::TcpStream &stream,
                                  const Frame &frame)
 {
-    switch (frame.type) {
-      case MsgType::SubmitSweep: {
-        std::uint64_t id = 0;
-        std::uint64_t cells = 0;
+    // Expected per-request failures (NotFound, NotReady, Overloaded, a
+    // refused request) are answered with an Error frame and the session
+    // goes on; a Protocol error is a malformed body — session-fatal.
+    const auto reply = [&](MsgType type, auto &&body) {
+        std::string bytes;
         try {
-            SweepRequest request = SweepRequest::decode(frame.body);
-            // Validate eagerly: a nonsense request is refused here,
-            // synchronously, not failed minutes later in the queue.
-            const SweepPlan plan = planSweep(request);
-            cells = plan.cells();
-            id = table.submit(std::move(request), cells,
-                              planFingerprint(plan));
+            bytes = body();
         } catch (const util::SimError &e) {
             if (e.code() == ErrorCode::Protocol)
-                throw; // malformed body: the session-fatal path
+                throw;
             writeFrame(stream, MsgType::Error,
                        encodeError(e.code(), e.what()), kFrameTimeoutMs);
             return true;
         }
-        writeFrame(stream, MsgType::SubmitOk, encodeSubmitOk(id, cells),
-                   kFrameTimeoutMs);
+        writeFrame(stream, type, bytes, kFrameTimeoutMs);
         return true;
-      }
-      case MsgType::Poll: {
-        try {
-            const JobStatusInfo info = table.status(decodeId(frame.body));
-            writeFrame(stream, MsgType::JobStatus, info.encode(),
-                       kFrameTimeoutMs);
-        } catch (const SvcError &e) {
-            if (e.code() == ErrorCode::Protocol)
-                throw; // malformed body: the session-fatal path
-            writeFrame(stream, MsgType::Error,
-                       encodeError(e.code(), e.what()), kFrameTimeoutMs);
-        }
-        return true;
-      }
-      case MsgType::FetchResults: {
-        try {
-            writeFrame(stream, MsgType::Results,
-                       table.fetchResults(decodeId(frame.body)),
-                       kFrameTimeoutMs);
-        } catch (const SvcError &e) {
-            if (e.code() == ErrorCode::Protocol)
-                throw;
-            writeFrame(stream, MsgType::Error,
-                       encodeError(e.code(), e.what()), kFrameTimeoutMs);
-        }
-        return true;
-      }
-      case MsgType::Cancel: {
-        try {
-            const JobStatusInfo info =
-                table.cancelJob(decodeId(frame.body));
-            writeFrame(stream, MsgType::CancelOk, info.encode(),
-                       kFrameTimeoutMs);
-        } catch (const SvcError &e) {
-            if (e.code() == ErrorCode::Protocol)
-                throw;
-            writeFrame(stream, MsgType::Error,
-                       encodeError(e.code(), e.what()), kFrameTimeoutMs);
-        }
-        return true;
-      }
+    };
+    switch (frame.type) {
+      case MsgType::SubmitSweep:
+        return reply(MsgType::SubmitOk, [&] {
+            SweepRequest request = SweepRequest::decode(frame.body);
+            // Validate eagerly: a nonsense request is refused here,
+            // synchronously, not failed minutes later in the queue.
+            const SweepPlan plan = planSweep(request);
+            const std::uint64_t cells = plan.cells();
+            const std::uint64_t id = table.submit(
+                std::move(request), cells, planFingerprint(plan));
+            return encodeSubmitOk(id, cells);
+        });
+      case MsgType::Poll:
+        // A held poll blocks this session thread until the job is
+        // terminal, wait_ms runs out, or stop() shuts the table down.
+        return reply(MsgType::JobStatus, [&] {
+            const PollRequest poll = PollRequest::decode(frame.body);
+            return table.status(poll.id, poll.waitMs).encode();
+        });
+      case MsgType::FetchResults:
+        return reply(MsgType::Results, [&] {
+            return table.fetchResults(decodeId(frame.body));
+        });
+      case MsgType::Cancel:
+        return reply(MsgType::CancelOk, [&] {
+            return table.cancelJob(decodeId(frame.body)).encode();
+        });
       case MsgType::Stats:
-        writeFrame(stream, MsgType::StatsReport, buildStats().encode(),
-                   kFrameTimeoutMs);
-        return true;
+        return reply(MsgType::StatsReport,
+                     [&] { return buildStats().encode(); });
       default:
         return false;
     }
+}
+
+void
+SessionServer::recordSweepWall(double wallMs)
+{
+    latencyHistogram().sample(latencyBucketOf(wallMs));
+    util::MetricsRegistry::global()
+        .counter("svc.sweep_wall_us")
+        .add(static_cast<std::uint64_t>(std::llround(wallMs * 1000.0)));
+}
+
+StatsSnapshot
+SessionServer::baseStats() const
+{
+    StatsSnapshot s;
+    s.queueDepth = table.queueDepth();
+    s.maxQueue = table.maxQueue();
+    if (const std::shared_ptr<JobRecord> job = table.runningJob()) {
+        s.runningJobs = 1;
+        s.runningCellsStarted = job->cellsStarted.load();
+        s.runningCellsTotal = job->cellsTotal;
+    }
+    s.submitted = table.submitted();
+    s.rejected = table.rejected();
+    s.completed = table.completed();
+    s.failed = table.failed();
+    s.cancelled = table.cancelled();
+
+    const util::MetricHistogram &histogram = latencyHistogram();
+    for (std::size_t i = 0; i < histogram.bucketCount(); ++i)
+        s.latencyBuckets.push_back(histogram.bucket(i));
+    s.latencySamples = histogram.samples();
+    if (s.latencySamples != 0) {
+        s.latencyMeanMs =
+            static_cast<double>(util::MetricsRegistry::global().value(
+                "svc.sweep_wall_us")) /
+            1000.0 / static_cast<double>(s.latencySamples);
+    }
+
+    s.counters = util::MetricsRegistry::global().snapshotCounters();
+    return s;
 }
 
 } // namespace fo4::svc

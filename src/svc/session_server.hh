@@ -2,8 +2,8 @@
  * @file
  * Shared scaffolding of every daemon in the sweep service: a TCP
  * listener, one session thread per connection, a stop/join lifecycle,
- * and the client-facing record handlers (submit, poll, fetch, cancel,
- * stats) over a JobTable.
+ * and the client-facing record handlers (submit, held poll, fetch,
+ * cancel, stats) over a JobTable.
  *
  * Both the single-machine daemon (svc::Server) and the fleet
  * coordinator (svc::Coordinator) are SessionServers: a coordinator
@@ -89,16 +89,27 @@ class SessionServer
 
     /**
      * The client-protocol records every daemon answers: SubmitSweep
-     * (validated eagerly via planSweep), Poll, FetchResults, Cancel,
-     * Stats.  Returns false when `frame` is none of them.  Expected
-     * per-request failures (NotFound, NotReady, Overloaded, a refused
-     * request) are answered with an Error frame; Protocol errors
-     * propagate — they are session-fatal by the trust model.
+     * (validated eagerly via planSweep), Poll (held up to its wait_ms
+     * for the job to turn terminal; stop() wakes it), FetchResults,
+     * Cancel, Stats.  Returns false when `frame` is none of them.
+     * Expected per-request failures (NotFound, NotReady, Overloaded, a
+     * refused request or wait_ms) are answered with an Error frame;
+     * Protocol errors propagate — they are session-fatal by the trust
+     * model.
      */
     bool handleClientFrame(util::TcpStream &stream, const Frame &frame);
 
     /** The Stats record's payload; derived classes add their gauges. */
     virtual StatsSnapshot buildStats() const = 0;
+
+    /** The Stats fields every daemon shares: queue and running gauges,
+     *  lifetime totals, sweep latency (histogram and true mean) and the
+     *  registry counters. */
+    StatsSnapshot baseStats() const;
+
+    /** Record one dequeued sweep's wall time: the "svc.sweep_wall_ms"
+     *  log2 histogram plus the "svc.sweep_wall_us" running sum. */
+    static void recordSweepWall(double wallMs);
 
     /** The job table every daemon serves clients from. */
     JobTable table;

@@ -18,15 +18,19 @@
  *
  * Also here: zero-worker fleets complete via local fallback, a client
  * with reconnect enabled survives a daemon restart on the same port,
- * and client timeout validation refuses non-positive deadlines.
+ * client timeout validation refuses non-positive deadlines, and a
+ * coordinator's held poll answers a store hit in one reply.
  */
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <thread>
+
+#include <unistd.h>
 
 #include "chaos_proxy.hh"
 #include "svc/client.hh"
@@ -622,4 +626,47 @@ TEST(Coordinator, AnswersTheSameClientProtocolAsAPlainDaemon)
 
     coord.stop();
     coord.join();
+}
+
+TEST(Coordinator, StoreHitWaitAnswersOnTheTransitionNotTheHold)
+{
+    const std::string cacheDir =
+        std::string(::testing::TempDir()) + "/svc_fabric_held." +
+        std::to_string(::getpid());
+    std::filesystem::remove_all(cacheDir);
+    const svc::SweepRequest request = smallRequest();
+    auto opts = fastCoordinator();
+    opts.fallbackGraceMs = 100; // no worker is coming; don't dawdle
+    opts.cacheDir = cacheDir;
+
+    // First lifetime computes (by local fallback) and fills the store.
+    {
+        svc::Coordinator coord(opts);
+        svc::Client client("127.0.0.1", coord.port());
+        const auto [id, cells] = client.submit(request);
+        (void)cells;
+        ASSERT_EQ(svc::JobState::Done,
+                  client.waitUntilDone(id, 5000).state);
+        coord.stop();
+        coord.join();
+    }
+
+    // A restarted coordinator answers from the store: the held poll
+    // replies once, on the Done transition, not after its 5 s hold.
+    svc::Coordinator coord(opts);
+    svc::Client client("127.0.0.1", coord.port());
+    const auto [id, cells] = client.submit(request);
+    (void)cells;
+    int replies = 0;
+    const auto start = std::chrono::steady_clock::now();
+    const auto status = client.waitUntilDone(
+        id, 5000, [&](const svc::JobStatusInfo &) { ++replies; });
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(1));
+    EXPECT_EQ(svc::JobState::Done, status.state);
+    EXPECT_EQ(1, replies);
+    EXPECT_EQ(localBytes(request), client.fetchResults(id));
+    coord.stop();
+    coord.join();
+    std::filesystem::remove_all(cacheDir);
 }

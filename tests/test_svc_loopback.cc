@@ -13,15 +13,31 @@
  * cancellation of queued and running jobs, NotFound/NotReady lifecycle
  * errors, stats gauges, and a garbage-frame session that must cost the
  * connection but never the daemon.
+ *
+ * The held poll: JobTable::status(id, waitMs) wakes on every terminal
+ * transition and on shutdown, and otherwise answers at its deadline;
+ * over the wire, a store hit finishes waitUntilDone in one reply, a
+ * wait_ms above the cap is a typed refusal, and stop() releases a held
+ * session at once instead of after the hold.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <filesystem>
+#include <functional>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
+
+#include <unistd.h>
 
 #include "svc/client.hh"
+#include "svc/queue.hh"
 #include "svc/server.hh"
 #include "svc/sweep.hh"
 #include "trace/generator.hh"
@@ -117,13 +133,48 @@ longRequest()
 }
 
 svc::Server
-makeServer(int threads, std::size_t maxQueue = 8)
+makeServer(int threads, std::size_t maxQueue = 8,
+           const std::string &cacheDir = "")
 {
     svc::ServerOptions options;
     options.port = 0;
     options.threads = threads;
     options.maxQueue = maxQueue;
+    options.cacheDir = cacheDir;
     return svc::Server(std::move(options));
+}
+
+using Clock = std::chrono::steady_clock;
+
+double
+msSince(Clock::time_point start)
+{
+    return std::chrono::duration<double, std::milli>(Clock::now() - start)
+        .count();
+}
+
+/** A hold far longer than any transition these tests wait for, so an
+ *  answer well inside it proves the wait woke on the transition. */
+constexpr std::uint64_t kLongHoldMs = svc::kMaxPollWaitMs;
+
+/** Generous bound on a woken hold (TSan-safe), far below kLongHoldMs. */
+constexpr double kPromptMs = 1000.0;
+
+/** Hold `table.status(id, kLongHoldMs)` while `settle` runs on another
+ *  thread 50 ms in; returns the held status and how long it took. */
+std::pair<svc::JobStatusInfo, double>
+holdAcross(svc::JobTable &table, std::uint64_t id,
+           const std::function<void()> &settle)
+{
+    std::thread settler([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        settle();
+    });
+    const Clock::time_point start = Clock::now();
+    const svc::JobStatusInfo info = table.status(id, kLongHoldMs);
+    const double heldMs = msSince(start);
+    settler.join();
+    return {info, heldMs};
 }
 
 } // namespace
@@ -297,6 +348,44 @@ TEST(SvcLoopback, CancelIsIdempotentOnTerminalJobs)
     server.join();
 }
 
+TEST(SvcLoopback, StatsReportTheTrueMeanSweepWallInMs)
+{
+    const bool wasEnabled = util::setMetricsEnabled(true);
+    util::MetricsRegistry::global().histogram("svc.sweep_wall_ms").reset();
+    util::MetricsRegistry::global().counter("svc.sweep_wall_us").reset();
+    svc::Server server = makeServer(1);
+    svc::Client client("127.0.0.1", server.port());
+    svc::SweepRequest request = longRequest();
+    request.instructions = 20000;
+
+    const Clock::time_point start = Clock::now();
+    const std::uint64_t id = client.submit(request).first;
+    ASSERT_EQ(client.waitUntilDone(id, 200).state, svc::JobState::Done);
+    const double clientMs = msSince(start);
+
+    // The dispatcher samples the wall just after the Done transition.
+    svc::StatsSnapshot stats = client.stats();
+    for (int i = 0; i < 200 && stats.latencySamples == 0; ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        stats = client.stats();
+    }
+    ASSERT_EQ(stats.latencySamples, 1u);
+    // Milliseconds, not a bucket index: inside the sampled log2 bucket
+    // [2^b - 1, 2^(b+1) - 1) and no longer than the client saw.
+    std::size_t b = 0;
+    while (b < stats.latencyBuckets.size() && stats.latencyBuckets[b] == 0)
+        ++b;
+    ASSERT_LT(b, stats.latencyBuckets.size());
+    EXPECT_GE(stats.latencyMeanMs, std::exp2(static_cast<double>(b)) - 1);
+    EXPECT_LT(stats.latencyMeanMs,
+              std::exp2(static_cast<double>(b + 1)) - 1);
+    EXPECT_GT(stats.latencyMeanMs, 0.0);
+    EXPECT_LE(stats.latencyMeanMs, clientMs);
+    server.stop();
+    server.join();
+    util::setMetricsEnabled(wasEnabled);
+}
+
 // ---------------------------------------------------------------------
 // Hostile peers
 // ---------------------------------------------------------------------
@@ -402,4 +491,215 @@ TEST(SvcLoopback, StopDrainsQueuedAndRunningJobs)
     server.join();
     SUCCEED();
     (void)queuedId;
+}
+
+// ---------------------------------------------------------------------
+// The held poll: JobTable wait
+// ---------------------------------------------------------------------
+
+TEST(JobTableWait, WakesOnEveryTerminalTransition)
+{
+    struct Case
+    {
+        const char *name;
+        bool dequeue; ///< let the "dispatcher" take the job first
+        std::function<void(svc::JobTable &, std::uint64_t)> settle;
+        svc::JobState want;
+    };
+    const std::vector<Case> cases = {
+        {"done", true,
+         [](svc::JobTable &t, std::uint64_t id) { t.markDone(id, "x"); },
+         svc::JobState::Done},
+        {"failed", true,
+         [](svc::JobTable &t, std::uint64_t id) {
+             t.markFailed(id, ErrorCode::Deadlock, "hung");
+         },
+         svc::JobState::Failed},
+        {"cancelled while queued", false,
+         [](svc::JobTable &t, std::uint64_t id) { t.cancelJob(id); },
+         svc::JobState::Cancelled},
+        {"cancelled while running", true,
+         [](svc::JobTable &t, std::uint64_t id) {
+             t.cancelJob(id); // flips the token; the job still runs
+             t.markCancelled(id); // the dispatcher's drain verdict
+         },
+         svc::JobState::Cancelled},
+        {"shutdown while queued", false,
+         [](svc::JobTable &t, std::uint64_t) { t.shutdown(); },
+         svc::JobState::Cancelled},
+        // Shutdown wakes the hold even though the job is not terminal
+        // yet: the running sweep only has its token flipped.
+        {"shutdown while running", true,
+         [](svc::JobTable &t, std::uint64_t) { t.shutdown(); },
+         svc::JobState::Running},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        svc::JobTable table(4);
+        const std::uint64_t id = table.submit(svc::SweepRequest{}, 1);
+        if (c.dequeue) {
+            ASSERT_NE(table.takeNext(0), nullptr);
+        }
+        const auto [info, heldMs] =
+            holdAcross(table, id, [&] { c.settle(table, id); });
+        EXPECT_EQ(info.state, c.want);
+        EXPECT_GE(heldMs, 25.0) << "the status was not held";
+        EXPECT_LT(heldMs, kPromptMs) << "woke on the deadline, not the "
+                                        "transition";
+    }
+}
+
+TEST(JobTableWait, DeadlineReturnsTheNonTerminalStatus)
+{
+    svc::JobTable table(4);
+    const std::uint64_t queued = table.submit(svc::SweepRequest{}, 1);
+    Clock::time_point start = Clock::now();
+    svc::JobStatusInfo info = table.status(queued, 60);
+    EXPECT_GE(msSince(start), 55.0);
+    EXPECT_EQ(info.state, svc::JobState::Queued);
+    EXPECT_EQ(info.queuePosition, 1u);
+
+    ASSERT_NE(table.takeNext(0), nullptr);
+    start = Clock::now();
+    info = table.status(queued, 60);
+    EXPECT_GE(msSince(start), 55.0);
+    EXPECT_EQ(info.state, svc::JobState::Running);
+
+    // A terminal job answers at once, however long the hold.
+    table.markDone(queued, "bytes");
+    start = Clock::now();
+    EXPECT_EQ(table.status(queued, kLongHoldMs).state,
+              svc::JobState::Done);
+    EXPECT_LT(msSince(start), kPromptMs);
+}
+
+TEST(JobTableWait, UnknownIdIsNotFound)
+{
+    svc::JobTable table(4);
+    const Clock::time_point start = Clock::now();
+    try {
+        table.status(424242, kLongHoldMs);
+        FAIL() << "held status of an unknown id succeeded";
+    } catch (const util::SvcError &e) {
+        EXPECT_EQ(e.code(), ErrorCode::NotFound);
+    }
+    EXPECT_LT(msSince(start), kPromptMs);
+}
+
+// ---------------------------------------------------------------------
+// The held poll over the wire
+// ---------------------------------------------------------------------
+
+TEST(SvcLoopback, StoreHitWaitAnswersOnTheTransitionNotTheHold)
+{
+    const std::string cacheDir =
+        std::string(::testing::TempDir()) + "/svc_loopback_held." +
+        std::to_string(::getpid());
+    std::filesystem::remove_all(cacheDir);
+    svc::SweepRequest request;
+    request.instructions = 2000;
+    request.warmup = 250;
+    request.prewarm = 10000;
+    request.tUseful = {8.0};
+    svc::WireJob job;
+    job.name = "164.gzip";
+    request.jobs.push_back(job);
+
+    // First lifetime computes and publishes to the store.
+    std::string computed;
+    {
+        svc::Server server = makeServer(1, 8, cacheDir);
+        svc::Client client("127.0.0.1", server.port());
+        const std::uint64_t id = client.submit(request).first;
+        ASSERT_EQ(client.waitUntilDone(id, 5000).state,
+                  svc::JobState::Done);
+        computed = client.fetchResults(id);
+        server.stop();
+        server.join();
+    }
+
+    // A restarted daemon answers from the store: one held poll, one
+    // reply, in far less than the 5 s it was allowed to hold.
+    svc::Server server = makeServer(1, 8, cacheDir);
+    svc::Client client("127.0.0.1", server.port());
+    const std::uint64_t id = client.submit(request).first;
+    int replies = 0;
+    const Clock::time_point start = Clock::now();
+    const svc::JobStatusInfo done = client.waitUntilDone(
+        id, 5000, [&](const svc::JobStatusInfo &) { ++replies; });
+    EXPECT_LT(msSince(start), kPromptMs);
+    EXPECT_EQ(done.state, svc::JobState::Done);
+    EXPECT_EQ(replies, 1);
+    EXPECT_EQ(client.fetchResults(id), computed);
+    server.stop();
+    server.join();
+    std::filesystem::remove_all(cacheDir);
+}
+
+TEST(SvcLoopback, HeldPollAnswersAtItsDeadlineAndRefusesAboveTheCap)
+{
+    svc::Server server = makeServer(1);
+    svc::Client::Options options;
+    options.ioTimeoutMs = 2000;
+    svc::Client client("127.0.0.1", server.port(), options);
+    const std::uint64_t id = client.submit(longRequest()).first;
+
+    // Not terminal within the hold: the reply comes at the deadline
+    // with the in-flight status.
+    const Clock::time_point start = Clock::now();
+    const svc::JobStatusInfo info = client.poll(id, 150);
+    EXPECT_GE(msSince(start), 140.0);
+    EXPECT_FALSE(info.terminal());
+
+    // Above the cap: a typed refusal, and the session survives it.
+    try {
+        client.poll(id, static_cast<int>(svc::kMaxPollWaitMs) + 1);
+        FAIL() << "a hold above the cap was accepted";
+    } catch (const util::SvcError &e) {
+        EXPECT_EQ(e.code(), ErrorCode::InvalidConfig);
+    }
+    EXPECT_EQ(client.stats().submitted, 1u);
+
+    // The client refuses intervals that would spin or outlive its
+    // own read deadline before anything reaches the wire.
+    for (const int pollMs : {0, -1, options.ioTimeoutMs,
+                             options.ioTimeoutMs + 1}) {
+        EXPECT_THROW(client.waitUntilDone(id, pollMs), util::ConfigError)
+            << "pollMs " << pollMs;
+    }
+
+    client.cancel(id);
+    EXPECT_EQ(client.waitUntilDone(id, 50).state,
+              svc::JobState::Cancelled);
+    server.stop();
+    server.join();
+}
+
+TEST(SvcLoopback, StopReleasesAHeldPollPromptly)
+{
+    svc::Server server = makeServer(1);
+    svc::Client client("127.0.0.1", server.port());
+    const std::uint64_t id = client.submit(longRequest()).first;
+
+    std::optional<svc::JobStatusInfo> held;
+    std::thread holder([&] {
+        svc::Client::Options options;
+        options.reconnect = false;
+        try {
+            svc::Client heldClient("127.0.0.1", server.port(), options);
+            held = heldClient.poll(id, static_cast<int>(kLongHoldMs));
+        } catch (const util::SvcError &) {
+            // left empty: asserted below
+        }
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+    const Clock::time_point start = Clock::now();
+    server.stop();
+    server.join();
+    EXPECT_LT(msSince(start), kPromptMs)
+        << "join() waited out the hold instead of waking the session";
+    holder.join();
+    ASSERT_TRUE(held.has_value()) << "the held poll got no reply";
+    EXPECT_EQ(held->id, id);
 }

@@ -139,24 +139,32 @@ TEST(SvcFrame, UnknownRecordTypeIsRefused)
 
 TEST(SvcFrame, VersionMismatchIsRefused)
 {
-    std::string payload;
-    const std::uint16_t wrongVersion = svc::kProtocolVersion + 1;
-    payload.push_back(static_cast<char>(wrongVersion));
-    payload.push_back(static_cast<char>(wrongVersion >> 8));
-    payload.push_back(static_cast<char>(
-        static_cast<std::uint16_t>(MsgType::Stats)));
-    payload.push_back(static_cast<char>(
-        static_cast<std::uint16_t>(MsgType::Stats) >> 8));
-    std::string raw;
-    raw.resize(svc::kFrameHeaderBytes);
-    const auto len = static_cast<std::uint32_t>(payload.size());
-    const std::uint32_t crc = util::crc32(payload.data(), payload.size());
-    for (int i = 0; i < 4; ++i) {
-        raw[i] = static_cast<char>(len >> (8 * i));
-        raw[4 + i] = static_cast<char>(crc >> (8 * i));
+    // v5 (the held Poll) refuses a v4 peer as well as a newer one.
+    EXPECT_EQ(svc::kProtocolVersion, 5);
+    for (const std::uint16_t wrongVersion :
+         {static_cast<std::uint16_t>(svc::kProtocolVersion - 1),
+          static_cast<std::uint16_t>(svc::kProtocolVersion + 1)}) {
+        std::string payload;
+        payload.push_back(static_cast<char>(wrongVersion));
+        payload.push_back(static_cast<char>(wrongVersion >> 8));
+        payload.push_back(static_cast<char>(
+            static_cast<std::uint16_t>(MsgType::Poll)));
+        payload.push_back(static_cast<char>(
+            static_cast<std::uint16_t>(MsgType::Poll) >> 8));
+        payload += "id=7\n";
+        std::string raw;
+        raw.resize(svc::kFrameHeaderBytes);
+        const auto len = static_cast<std::uint32_t>(payload.size());
+        const std::uint32_t crc =
+            util::crc32(payload.data(), payload.size());
+        for (int i = 0; i < 4; ++i) {
+            raw[i] = static_cast<char>(len >> (8 * i));
+            raw[4 + i] = static_cast<char>(crc >> (8 * i));
+        }
+        raw += payload;
+        EXPECT_EQ(decodeError(raw), ErrorCode::Protocol)
+            << "version " << wrongVersion;
     }
-    raw += payload;
-    EXPECT_EQ(decodeError(raw), ErrorCode::Protocol);
 }
 
 TEST(SvcFrame, OversizeLengthIsRefusedBeforeAllocation)
@@ -413,6 +421,57 @@ TEST(SvcBodies, ErrorAndIdBodiesRoundTrip)
     EXPECT_EQ(util::errorCodeFromName("FutureProtocolCode"),
               ErrorCode::Internal);
     EXPECT_EQ(util::errorCodeFromName("Deadlock"), ErrorCode::Deadlock);
+}
+
+TEST(SvcBodies, HeldPollRoundTripsAndPlainPollIsTheV4Body)
+{
+    const svc::PollRequest held{.id = 918273645, .waitMs = 2500};
+    EXPECT_EQ(held.encode(), "id=918273645\nwait_ms=2500\n");
+    const svc::PollRequest back = svc::PollRequest::decode(held.encode());
+    EXPECT_EQ(back.id, held.id);
+    EXPECT_EQ(back.waitMs, held.waitMs);
+
+    // wait_ms = 0 stays off the wire: byte-identical to the v4 body.
+    const svc::PollRequest plain{.id = 7};
+    EXPECT_EQ(plain.encode(), "id=7\n");
+    EXPECT_EQ(plain.encode(), svc::encodeId(7));
+    const svc::PollRequest v4 = svc::PollRequest::decode("id=7\n");
+    EXPECT_EQ(v4.id, 7u);
+    EXPECT_EQ(v4.waitMs, 0u);
+
+    // The cap itself is a legal hold.
+    const svc::PollRequest capped{.id = 1,
+                                  .waitMs = svc::kMaxPollWaitMs};
+    EXPECT_EQ(svc::PollRequest::decode(capped.encode()).waitMs,
+              svc::kMaxPollWaitMs);
+}
+
+TEST(SvcBodies, MalformedOrOutOfRangeWaitIsTyped)
+{
+    const auto codeOf = [](const std::string &body) {
+        try {
+            svc::PollRequest::decode(body);
+        } catch (const util::SvcError &e) {
+            return e.code();
+        }
+        return ErrorCode::Ok;
+    };
+    // Malformed: the session-fatal Protocol verdict.
+    EXPECT_EQ(codeOf("id=1\nwait_ms=abc\n"), ErrorCode::Protocol);
+    EXPECT_EQ(codeOf("id=1\nwait_ms=-5\n"), ErrorCode::Protocol);
+    EXPECT_EQ(codeOf("id=1\nwait_ms=\n"), ErrorCode::Protocol);
+    EXPECT_EQ(codeOf("id=1\nwait_ms\n"), ErrorCode::Protocol);
+    EXPECT_EQ(codeOf("wait_ms=5\n"), ErrorCode::Protocol);
+    EXPECT_EQ(codeOf("id=1\nhold=5\n"), ErrorCode::Protocol);
+    // Well-formed but above the cap: a refusal the session survives.
+    EXPECT_EQ(codeOf(util::strprintf(
+                  "id=1\nwait_ms=%llu\n",
+                  static_cast<unsigned long long>(svc::kMaxPollWaitMs +
+                                                  1))),
+              ErrorCode::InvalidConfig);
+    EXPECT_EQ(codeOf("id=1\nwait_ms=99999999999999999999\n"),
+              ErrorCode::Protocol); // overflows u64: malformed
+    EXPECT_EQ(codeOf("id=1\nwait_ms=10\n"), ErrorCode::Ok);
 }
 
 TEST(SvcBodies, JobStateNamesRoundTrip)
