@@ -11,6 +11,7 @@
  */
 
 #include <cstdio>
+#include <fstream>
 #include <iostream>
 
 #include "bench/common.hh"
@@ -18,7 +19,7 @@
 #include "study/parallel.hh"
 #include "study/runner.hh"
 #include "study/scaling.hh"
-#include "trace/file_trace.hh"
+#include "trace/capture.hh"
 #include "trace/generator.hh"
 #include "trace/spec2000.hh"
 #include "util/config.hh"
@@ -39,29 +40,32 @@ const std::vector<fo4::util::KeyDoc> kKeys = {
 };
 
 /**
- * Record a short trace, then overwrite one record's op-class byte with
- * a value no ISA defines — the kind of damage a bad disk or truncated
- * copy produces.
+ * Record a short capture, then overwrite one record's op-class byte
+ * with a value no ISA defines — the kind of damage a bad disk produces,
+ * caught by the op frame's CRC.
  */
 std::string
 makeCorruptTrace(const std::string &dir)
 {
     using namespace fo4;
-    const std::string path = dir + "/resilient_suite_corrupt.fo4t";
-    auto prof = trace::spec2000Profile("164.gzip");
-    trace::SyntheticTraceGenerator gen(prof);
-    trace::recordTrace(path, gen, 4096);
-
-    std::FILE *f = std::fopen(path.c_str(), "rb+");
-    if (!f) {
+    const std::string path = dir + "/resilient_suite_corrupt.fo4cap";
+    {
+        auto prof = trace::spec2000Profile("164.gzip");
+        trace::SyntheticTraceGenerator gen(prof);
+        auto writer = trace::CaptureWriter::create(path);
+        for (int i = 0; i < 4096; ++i)
+            writer.append(gen.next());
+        writer.close();
+    }
+    // Layout: 32-byte header, 9-byte empty meta frame, then the op
+    // frame's 8-byte head and kind byte; cls is byte 30 of a record.
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(50 + 32 * 100 + 30);
+    if (!f.put(static_cast<char>(0xEE)).flush()) {
         throw util::TraceError(
             util::ErrorCode::TraceIo,
             "cannot reopen " + path + " for corruption");
     }
-    // Record layout: 16-byte header, 32-byte records, cls at offset 30.
-    std::fseek(f, 16 + 32 * 100 + 30, SEEK_SET);
-    std::fputc(0xEE, f);
-    std::fclose(f);
     return path;
 }
 

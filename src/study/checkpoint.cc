@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "study/scaling.hh"
+#include "util/durable_file.hh"
 #include "util/journal.hh"
 #include "util/logging.hh"
 #include "util/metrics.hh"
@@ -206,21 +207,8 @@ hashSpec(IdentityHasher &h, const RunSpec &spec)
 // BenchResult is bit-for-bit the one that was journaled.
 // ---------------------------------------------------------------------
 
-void
-putU32(std::string &out, std::uint32_t v)
-{
-    out.push_back(static_cast<char>(v));
-    out.push_back(static_cast<char>(v >> 8));
-    out.push_back(static_cast<char>(v >> 16));
-    out.push_back(static_cast<char>(v >> 24));
-}
-
-void
-putU64(std::string &out, std::uint64_t v)
-{
-    putU32(out, static_cast<std::uint32_t>(v));
-    putU32(out, static_cast<std::uint32_t>(v >> 32));
-}
+using util::putU32;
+using util::putU64;
 
 void
 putStr(std::string &out, const std::string &s)
@@ -243,10 +231,7 @@ class Cursor
     u32()
     {
         need(4);
-        const std::uint32_t v = static_cast<std::uint32_t>(p[0]) |
-                                static_cast<std::uint32_t>(p[1]) << 8 |
-                                static_cast<std::uint32_t>(p[2]) << 16 |
-                                static_cast<std::uint32_t>(p[3]) << 24;
+        const std::uint32_t v = util::getU32(p);
         p += 4;
         remaining -= 4;
         return v;

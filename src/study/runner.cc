@@ -1,7 +1,6 @@
 #include "study/runner.hh"
 
 #include "trace/decoded_trace.hh"
-#include "trace/file_trace.hh"
 #include "trace/generator.hh"
 #include "trace/recorded_trace.hh"
 #include "util/logging.hh"
@@ -173,8 +172,7 @@ runJob(const core::CoreParams &params, const tech::ClockModel &clock,
         source =
             std::make_unique<trace::SyntheticTraceGenerator>(*job.profile);
     } else {
-        // Sniffs the format: capture files and flat v1 traces both work.
-        source = trace::openTraceFile(job.tracePath);
+        source = std::make_unique<trace::RecordedTrace>(job.tracePath);
     }
 
     const core::CoreParams &effective = job.params ? *job.params : params;

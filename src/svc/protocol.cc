@@ -4,7 +4,7 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "util/journal.hh"
+#include "util/durable_file.hh"
 #include "util/logging.hh"
 
 namespace fo4::svc
@@ -14,39 +14,8 @@ namespace
 {
 
 using util::ErrorCode;
+using util::getU16;
 using util::SvcError;
-
-void
-putU16(unsigned char *p, std::uint16_t v)
-{
-    p[0] = static_cast<unsigned char>(v);
-    p[1] = static_cast<unsigned char>(v >> 8);
-}
-
-void
-putU32(unsigned char *p, std::uint32_t v)
-{
-    p[0] = static_cast<unsigned char>(v);
-    p[1] = static_cast<unsigned char>(v >> 8);
-    p[2] = static_cast<unsigned char>(v >> 16);
-    p[3] = static_cast<unsigned char>(v >> 24);
-}
-
-std::uint16_t
-getU16(const unsigned char *p)
-{
-    return static_cast<std::uint16_t>(
-        p[0] | static_cast<std::uint16_t>(p[1]) << 8);
-}
-
-std::uint32_t
-getU32(const unsigned char *p)
-{
-    return static_cast<std::uint32_t>(p[0]) |
-           static_cast<std::uint32_t>(p[1]) << 8 |
-           static_cast<std::uint32_t>(p[2]) << 16 |
-           static_cast<std::uint32_t>(p[3]) << 24;
-}
 
 [[noreturn]] void
 throwProtocol(const std::string &what)
@@ -178,39 +147,31 @@ encodeFrame(MsgType type, std::string_view body)
 {
     FO4_ASSERT(body.size() + 4 <= kMaxPayloadBytes,
                "frame body too large (%zu bytes)", body.size());
-    std::string payload;
-    payload.resize(4);
-    auto *words = reinterpret_cast<unsigned char *>(payload.data());
-    putU16(words, kProtocolVersion);
-    putU16(words + 2, static_cast<std::uint16_t>(type));
-    payload.append(body);
-
-    std::string frame;
-    frame.resize(kFrameHeaderBytes);
-    auto *head = reinterpret_cast<unsigned char *>(frame.data());
-    putU32(head, static_cast<std::uint32_t>(payload.size()));
-    putU32(head + 4, util::crc32(payload.data(), payload.size()));
-    frame.append(payload);
+    std::string frame(kFrameHeaderBytes + 4, '\0');
+    auto *words =
+        reinterpret_cast<unsigned char *>(frame.data()) + kFrameHeaderBytes;
+    util::putU16(words, kProtocolVersion);
+    util::putU16(words + 2, static_cast<std::uint16_t>(type));
+    frame.append(body);
+    util::sealFrame(frame);
     return frame;
 }
 
 FrameHeader
 decodeFrameHeader(const unsigned char (&header)[kFrameHeaderBytes])
 {
-    FrameHeader h;
-    h.payloadBytes = getU32(header);
-    h.crc = getU32(header + 4);
+    const FrameHeader h = util::decodeFrameHead(header);
     // Bound-check before anyone allocates: a corrupt length word must
     // cost a typed error, not a 4 GiB allocation.
-    if (h.payloadBytes > kMaxPayloadBytes) {
+    if (h.length > kMaxPayloadBytes) {
         throwProtocol(util::strprintf(
             "oversize frame: length word %u exceeds the %u-byte limit",
-            h.payloadBytes, kMaxPayloadBytes));
+            h.length, kMaxPayloadBytes));
     }
-    if (h.payloadBytes < 4) {
+    if (h.length < 4) {
         throwProtocol(util::strprintf(
             "runt frame: %u-byte payload cannot hold version and type",
-            h.payloadBytes));
+            h.length));
     }
     return h;
 }
@@ -218,10 +179,10 @@ decodeFrameHeader(const unsigned char (&header)[kFrameHeaderBytes])
 Frame
 decodePayload(const FrameHeader &header, std::string_view payload)
 {
-    if (payload.size() != header.payloadBytes) {
+    if (payload.size() != header.length) {
         throwProtocol(util::strprintf(
             "payload size %zu does not match the header's %u",
-            payload.size(), header.payloadBytes));
+            payload.size(), header.length));
     }
     if (const std::uint32_t computed =
             util::crc32(payload.data(), payload.size());
@@ -256,11 +217,11 @@ readFrame(util::TcpStream &stream, int timeoutMs)
         return std::nullopt; // orderly EOF between frames
     const FrameHeader h = decodeFrameHeader(header);
     std::string payload;
-    payload.resize(h.payloadBytes);
+    payload.resize(h.length);
     if (!stream.readExact(payload.data(), payload.size(), timeoutMs)) {
         throwProtocol(util::strprintf(
             "truncated frame: peer closed before %u payload bytes",
-            h.payloadBytes));
+            h.length));
     }
     return decodePayload(h, payload);
 }

@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "trace/profile.hh"
+#include "util/durable_file.hh"
 #include "util/net.hh"
 #include "util/status.hh"
 
@@ -64,8 +65,9 @@ namespace fo4::svc
  *  PollRequest) — omitted when 0, so a plain Poll body is the v4 one. */
 constexpr std::uint16_t kProtocolVersion = 5;
 
-/** Frame header: u32 payload length + u32 payload CRC. */
-constexpr std::size_t kFrameHeaderBytes = 8;
+/** Frame header: u32 payload length + u32 payload CRC — the util
+ *  frame codec's head (util/durable_file.hh). */
+constexpr std::size_t kFrameHeaderBytes = util::kFrameHeadBytes;
 
 /** Hard payload bound, checked before allocating for a frame. */
 constexpr std::uint32_t kMaxPayloadBytes = 64u << 20;
@@ -122,11 +124,7 @@ std::string encodeFrame(MsgType type, std::string_view body);
  * when the length word exceeds kMaxPayloadBytes or cannot hold the
  * version/type words.
  */
-struct FrameHeader
-{
-    std::uint32_t payloadBytes = 0;
-    std::uint32_t crc = 0;
-};
+using FrameHeader = util::FrameHead;
 FrameHeader decodeFrameHeader(const unsigned char (&header)[kFrameHeaderBytes]);
 
 /**

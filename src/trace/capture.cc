@@ -1,14 +1,7 @@
 #include "trace/capture.hh"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
-
-#include <fcntl.h>
-#include <unistd.h>
-
 #include "trace/trace_codec.hh"
-#include "util/journal.hh"
+#include "util/durable_file.hh"
 #include "util/logging.hh"
 #include "util/status.hh"
 
@@ -18,68 +11,17 @@ namespace fo4::trace
 namespace
 {
 
-constexpr char kMagic[8] = {'F', 'O', '4', 'C', 'A', 'P', 'T', 'R'};
-constexpr std::size_t kHeaderBytes = 32;
-constexpr std::size_t kFrameHeadBytes = 8; // u32 len | u32 crc
-
-void
-putU32(unsigned char *p, std::uint32_t v)
-{
-    p[0] = static_cast<unsigned char>(v);
-    p[1] = static_cast<unsigned char>(v >> 8);
-    p[2] = static_cast<unsigned char>(v >> 16);
-    p[3] = static_cast<unsigned char>(v >> 24);
-}
-
-void
-putU64(unsigned char *p, std::uint64_t v)
-{
-    putU32(p, static_cast<std::uint32_t>(v));
-    putU32(p + 4, static_cast<std::uint32_t>(v >> 32));
-}
-
-std::uint32_t
-getU32(const unsigned char *p)
-{
-    return static_cast<std::uint32_t>(p[0]) |
-           static_cast<std::uint32_t>(p[1]) << 8 |
-           static_cast<std::uint32_t>(p[2]) << 16 |
-           static_cast<std::uint32_t>(p[3]) << 24;
-}
-
-std::uint64_t
-getU64(const unsigned char *p)
-{
-    return static_cast<std::uint64_t>(getU32(p)) |
-           static_cast<std::uint64_t>(getU32(p + 4)) << 32;
-}
-
-/**
- * Header layout (mirrors the journal):
- *   [0, 8)   magic "FO4CAPTR"
- *   [8, 12)  format version
- *   [12, 16) flags (zero)
- *   [16, 24) reserved (zero)
- *   [24, 28) CRC32 of bytes [0, 24)
- *   [28, 32) reserved (zero)
- */
-void
-encodeHeader(unsigned char *h)
-{
-    std::memset(h, 0, kHeaderBytes);
-    std::memcpy(h, kMagic, sizeof(kMagic));
-    putU32(h + 8, kCaptureVersion);
-    putU32(h + 24, util::crc32(h, 24));
-}
-
-[[noreturn]] void
-throwIo(const std::string &path, const char *what)
-{
-    throw util::TraceError(
-        util::ErrorCode::TraceIo,
-        util::strprintf("%s capture file '%s': %s", what, path.c_str(),
-                        std::strerror(errno)));
-}
+/** 'M' / 'O' / 'E' frames; the header's u64 word is unused (zero). */
+constexpr util::ContainerFormat kCaptureFormat = {
+    .noun = "capture",
+    .magic = "FO4CAPTR",
+    .version = kCaptureVersion,
+    .minFrame = 1,
+    .maxFrame = kMaxCaptureFrame,
+    .io = util::ErrorCode::TraceIo,
+    .format = util::ErrorCode::TraceFormat,
+    .corrupt = util::ErrorCode::TraceCorrupt,
+};
 
 [[noreturn]] void
 throwCorrupt(const std::string &message)
@@ -87,38 +29,12 @@ throwCorrupt(const std::string &message)
     throw util::TraceError(util::ErrorCode::TraceCorrupt, message);
 }
 
-struct FdCloser
+/** A failed AtomicFile step is a capture I/O error. */
+void
+throwIfIoError(const util::Status &st)
 {
-    int fd;
-    ~FdCloser()
-    {
-        if (fd >= 0)
-            ::close(fd);
-    }
-};
-
-std::vector<unsigned char>
-readWholeFile(const std::string &path)
-{
-    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0)
-        throwIo(path, "cannot open");
-    FdCloser closer{fd};
-
-    std::vector<unsigned char> data;
-    unsigned char buf[1 << 16];
-    for (;;) {
-        const ssize_t n = ::read(fd, buf, sizeof(buf));
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            throwIo(path, "cannot read");
-        }
-        if (n == 0)
-            break;
-        data.insert(data.end(), buf, buf + n);
-    }
-    return data;
+    if (!st.isOk())
+        throw util::TraceError(util::ErrorCode::TraceIo, st.message());
 }
 
 std::string
@@ -172,130 +88,59 @@ parseMeta(const unsigned char *body, std::size_t size,
 
 } // namespace
 
-bool
-isCaptureFile(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return false;
-    char m[sizeof(kMagic)];
-    const bool got = std::fread(m, sizeof(m), 1, f) == 1;
-    std::fclose(f);
-    return got && std::memcmp(m, kMagic, sizeof(kMagic)) == 0;
-}
-
 CaptureContents
 readCapture(const std::string &path)
 {
-    const std::vector<unsigned char> data = readWholeFile(path);
-
-    // Header ladder: size, magic, version, then CRC.  Version is
-    // checked before the CRC so genuine version skew (a file from a
-    // newer build) reports TraceFormat, not bit rot.
-    if (data.size() < kHeaderBytes) {
-        throw util::TraceError(
-            util::ErrorCode::TraceFormat,
-            util::strprintf("capture '%s' is truncated: %zu bytes, "
-                            "shorter than the %zu-byte header",
-                            path.c_str(), data.size(), kHeaderBytes));
-    }
-    if (std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0) {
-        throw util::TraceError(
-            util::ErrorCode::TraceFormat,
-            util::strprintf("'%s' is not a fo4pipe capture file",
-                            path.c_str()));
-    }
-    const std::uint32_t version = getU32(data.data() + 8);
-    if (version != kCaptureVersion) {
-        throw util::TraceError(
-            util::ErrorCode::TraceFormat,
-            util::strprintf("capture '%s' has unsupported version %u "
-                            "(this build speaks %u)",
-                            path.c_str(), version, kCaptureVersion));
-    }
-    const std::uint32_t storedCrc = getU32(data.data() + 24);
-    const std::uint32_t computedCrc = util::crc32(data.data(), 24);
-    if (storedCrc != computedCrc) {
-        throwCorrupt(util::strprintf(
-            "capture '%s': header CRC mismatch (stored %08x, computed "
-            "%08x)",
-            path.c_str(), storedCrc, computedCrc));
-    }
-
     CaptureContents out;
-    std::size_t offset = kHeaderBytes;
     std::size_t frame = 0;
-    while (offset < data.size()) {
-        const std::size_t remaining = data.size() - offset;
-        if (remaining < kFrameHeadBytes) {
-            out.tornTail = true;
-            break;
-        }
-        const std::uint32_t len = getU32(data.data() + offset);
-        // Length plausibility comes before the torn-tail comparison: a
-        // rotted length field must not be misread as "tail cut short".
-        if (len == 0 || len > kMaxCaptureFrame) {
-            throwCorrupt(util::strprintf(
-                "capture '%s': frame %zu declares %u payload bytes, "
-                "outside (0, %u] — refused before allocation",
-                path.c_str(), frame, len, kMaxCaptureFrame));
-        }
-        if (remaining - kFrameHeadBytes < len) {
-            out.tornTail = true;
-            break;
-        }
-        const unsigned char *payload = data.data() + offset +
-                                       kFrameHeadBytes;
-        const std::uint32_t stored = getU32(data.data() + offset + 4);
-        const std::uint32_t computed = util::crc32(payload, len);
-        if (stored != computed) {
-            throwCorrupt(util::strprintf(
-                "capture '%s': frame %zu CRC mismatch at offset %zu "
-                "(stored %08x, computed %08x)",
-                path.c_str(), frame, offset, stored, computed));
-        }
-        if (out.finalized) {
-            throwCorrupt(util::strprintf(
-                "capture '%s': frame %zu follows the end frame",
-                path.c_str(), frame));
-        }
-        const char kind = static_cast<char>(payload[0]);
-        const unsigned char *body = payload + 1;
-        const std::size_t bodyLen = len - 1;
-        switch (kind) {
-        case 'M':
-            parseMeta(body, bodyLen, path, out.meta);
-            break;
-        case 'O':
-            appendCheckedRecords(body, bodyLen, path, out.ops);
-            break;
-        case 'E': {
-            if (bodyLen != 8) {
+    util::ContainerScan scan;
+    const util::Status st = util::readContainer(
+        path, kCaptureFormat, scan, [&](std::string_view payload) {
+            if (out.finalized) {
                 throwCorrupt(util::strprintf(
-                    "capture '%s': malformed end frame (%zu body "
-                    "bytes, expected 8)",
-                    path.c_str(), bodyLen));
+                    "capture '%s': frame %zu follows the end frame",
+                    path.c_str(), frame));
             }
-            const std::uint64_t declared = getU64(body);
-            if (declared != out.ops.size()) {
+            const auto *body =
+                reinterpret_cast<const unsigned char *>(payload.data()) + 1;
+            const std::size_t bodyLen = payload.size() - 1;
+            switch (payload[0]) {
+            case 'M':
+                parseMeta(body, bodyLen, path, out.meta);
+                break;
+            case 'O':
+                appendCheckedRecords(body, bodyLen, path, out.ops);
+                break;
+            case 'E': {
+                if (bodyLen != 8) {
+                    throwCorrupt(util::strprintf(
+                        "capture '%s': malformed end frame (%zu body "
+                        "bytes, expected 8)",
+                        path.c_str(), bodyLen));
+                }
+                const std::uint64_t declared = util::getU64(body);
+                if (declared != out.ops.size()) {
+                    throwCorrupt(util::strprintf(
+                        "capture '%s': end frame declares %llu records "
+                        "but %zu were read",
+                        path.c_str(),
+                        static_cast<unsigned long long>(declared),
+                        out.ops.size()));
+                }
+                out.finalized = true;
+                break;
+            }
+            default:
                 throwCorrupt(util::strprintf(
-                    "capture '%s': end frame declares %llu records "
-                    "but %zu were read",
-                    path.c_str(),
-                    static_cast<unsigned long long>(declared),
-                    out.ops.size()));
+                    "capture '%s': unknown frame kind 0x%02x in frame %zu",
+                    path.c_str(), static_cast<unsigned char>(payload[0]),
+                    frame));
             }
-            out.finalized = true;
-            break;
-        }
-        default:
-            throwCorrupt(util::strprintf(
-                "capture '%s': unknown frame kind 0x%02x in frame %zu",
-                path.c_str(), static_cast<unsigned>(payload[0]), frame));
-        }
-        offset += kFrameHeadBytes + len;
-        ++frame;
-    }
+            ++frame;
+        });
+    if (!st.isOk())
+        throw util::TraceError(st.code(), st.message());
+    out.tornTail = scan.tornTail;
     return out;
 }
 
@@ -305,90 +150,47 @@ CaptureWriter::create(const std::string &path, const CaptureMeta &meta,
 {
     if (opsPerFrame == 0)
         throw util::ConfigError("capture opsPerFrame must be positive");
+    // An op frame is the kind byte plus the batch; the writer must not
+    // publish a frame its own reader refuses.
+    if (opsPerFrame > (kMaxCaptureFrame - 1) / sizeof(TraceRecord)) {
+        throw util::ConfigError(util::strprintf(
+            "capture opsPerFrame %zu exceeds the %zu records one "
+            "%u-byte frame holds",
+            opsPerFrame, (kMaxCaptureFrame - 1) / sizeof(TraceRecord),
+            kMaxCaptureFrame));
+    }
     const std::string metaText = serializeMeta(meta); // validate first
 
-    const std::string tmp = path + ".tmp";
-    const int fd = ::open(tmp.c_str(),
-                          O_CREAT | O_TRUNC | O_WRONLY | O_CLOEXEC, 0644);
-    if (fd < 0)
-        throwIo(path, "cannot create");
-
-    CaptureWriter w(fd, path, tmp, opsPerFrame);
-    unsigned char header[kHeaderBytes];
-    encodeHeader(header);
-    const util::Status st = util::writeAllStatus(fd, header,
-                                                 sizeof(header), tmp);
-    if (!st.isOk()) {
-        w.abandon();
-        throw util::TraceError(util::ErrorCode::TraceIo, st.message());
-    }
-    w.writeFrame('M', metaText.data(), metaText.size());
+    CaptureWriter w(opsPerFrame);
+    throwIfIoError(w.file.open(path));
+    w.write(util::containerHeader(kCaptureFormat, 0));
+    w.writeFrame('M', metaText);
     return w;
 }
 
-CaptureWriter::CaptureWriter(int fd, std::string finalPath,
-                             std::string tmp, std::size_t opsPerFrame)
-    : fd(fd), path(std::move(finalPath)), tmpPath(std::move(tmp)),
-      opsPerFrame(opsPerFrame)
+CaptureWriter::CaptureWriter(std::size_t opsPerFrame)
+    : opsPerFrame(opsPerFrame)
 {
-}
-
-CaptureWriter::CaptureWriter(CaptureWriter &&other) noexcept
-    : fd(other.fd), path(std::move(other.path)),
-      tmpPath(std::move(other.tmpPath)), opsPerFrame(other.opsPerFrame),
-      pending(std::move(other.pending)), count(other.count)
-{
-    other.fd = -1;
-}
-
-CaptureWriter &
-CaptureWriter::operator=(CaptureWriter &&other) noexcept
-{
-    if (this != &other) {
-        abandon();
-        fd = other.fd;
-        path = std::move(other.path);
-        tmpPath = std::move(other.tmpPath);
-        opsPerFrame = other.opsPerFrame;
-        pending = std::move(other.pending);
-        count = other.count;
-        other.fd = -1;
-    }
-    return *this;
-}
-
-CaptureWriter::~CaptureWriter()
-{
-    abandon();
 }
 
 void
-CaptureWriter::abandon() noexcept
+CaptureWriter::write(std::string_view bytes)
 {
-    if (fd < 0)
-        return;
-    ::close(fd);
-    fd = -1;
-    ::unlink(tmpPath.c_str());
-}
-
-void
-CaptureWriter::writeFrame(char kind, const void *body, std::size_t size)
-{
-    const std::uint32_t len = static_cast<std::uint32_t>(size) + 1;
-    std::vector<unsigned char> frame(kFrameHeadBytes + len);
-    frame[kFrameHeadBytes] = static_cast<unsigned char>(kind);
-    if (size != 0)
-        std::memcpy(frame.data() + kFrameHeadBytes + 1, body, size);
-    putU32(frame.data(), len);
-    putU32(frame.data() + 4,
-           util::crc32(frame.data() + kFrameHeadBytes, len));
-    const util::Status st = util::writeAllStatus(fd, frame.data(),
-                                                 frame.size(), tmpPath);
+    const util::Status st = file.write(bytes);
     if (!st.isOk()) {
-        abandon();
-        throw util::TraceError(util::ErrorCode::TraceIo, st.message());
+        file.abandon();
+        throwIfIoError(st);
     }
+}
+
+void
+CaptureWriter::writeFrame(char kind, std::string_view body)
+{
+    std::string frame(util::kFrameHeadBytes, '\0');
+    frame += kind;
+    frame.append(body);
+    util::sealFrame(frame);
+    write(frame);
 }
 
 void
@@ -396,18 +198,20 @@ CaptureWriter::flushOps()
 {
     if (pending.empty())
         return;
-    writeFrame('O', pending.data(), pending.size());
+    writeFrame('O', pending);
     pending.clear();
 }
 
 void
 CaptureWriter::append(const isa::MicroOp &op)
 {
-    if (fd < 0)
+    if (!file.isOpen())
         throw util::ConfigError("append to a closed capture writer");
     const std::size_t tail = pending.size();
     pending.resize(tail + sizeof(TraceRecord));
-    encodeTraceRecord(packTraceRecord(op), pending.data() + tail);
+    encodeTraceRecord(packTraceRecord(op),
+                      reinterpret_cast<unsigned char *>(pending.data()) +
+                          tail);
     ++count;
     if (pending.size() >= opsPerFrame * sizeof(TraceRecord))
         flushOps();
@@ -416,37 +220,17 @@ CaptureWriter::append(const isa::MicroOp &op)
 void
 CaptureWriter::close()
 {
-    if (fd < 0)
+    if (!file.isOpen())
         throw util::ConfigError("capture writer already closed");
     if (count == 0) {
-        abandon();
+        file.abandon();
         throw util::ConfigError("recording an empty trace");
     }
     flushOps();
-    unsigned char body[8];
-    putU64(body, count);
-    writeFrame('E', body, sizeof(body));
-
-    if (::fsync(fd) != 0) {
-        const int err = errno;
-        abandon();
-        errno = err;
-        throwIo(path, "cannot fsync");
-    }
-    ::close(fd);
-    fd = -1;
-    if (::rename(tmpPath.c_str(), path.c_str()) != 0) {
-        const int err = errno;
-        ::unlink(tmpPath.c_str());
-        errno = err;
-        throwIo(path, "cannot publish");
-    }
-    try {
-        util::fsyncParentDirectory(path);
-    } catch (const util::SimError &e) {
-        throw util::TraceError(util::ErrorCode::TraceIo,
-                               e.toStatus().message());
-    }
+    std::string end;
+    util::putU64(end, count);
+    writeFrame('E', end);
+    throwIfIoError(file.commit());
 }
 
 } // namespace fo4::trace

@@ -3,12 +3,12 @@
 
 /**
  * @file
- * The versioned binary trace-capture container — the fifth durable
- * on-disk contract (after journal, checkpoint, CSV and blob store).
+ * The versioned binary trace-capture container: the repo's one on-disk
+ * trace format.
  *
  * A capture stores the microop stream of one recorded run plus a
- * key=value metadata block describing the run it came from.  It reuses
- * the util::Journal framing discipline: a 32-byte CRC-protected header
+ * key=value metadata block describing the run it came from.  It is a
+ * util framed container (DESIGN.md §8): a 32-byte CRC-protected header
  * followed by `u32 len | u32 crc32(payload) | payload` frames, where
  * payload[0] is a frame kind:
  *
@@ -17,21 +17,22 @@
  *   'E'  end frame — u64 record count; written by close() and marks
  *        the capture finalized
  *
- * Durability matches the journal: the writer builds `path + ".tmp"`,
- * fsyncs, renames over the final path and fsyncs the directory, so a
- * capture is published whole-file-atomically or not at all.  The end
- * frame distinguishes a torn tail (crash before close(): valid prefix
- * recoverable, reported via CaptureContents::tornTail / !finalized)
- * from bit rot inside a complete frame (typed TraceError, TraceCorrupt).
- * See DESIGN.md §16 for the full corruption ladder.
+ * The writer publishes through util::AtomicFile, so a capture appears
+ * whole-file-atomically or not at all.  The end frame distinguishes a
+ * torn tail (crash before close(): valid prefix recoverable, reported
+ * via CaptureContents::tornTail / !finalized) from bit rot inside a
+ * complete frame (typed TraceError, TraceCorrupt).  See DESIGN.md §16
+ * for the full corruption ladder.
  */
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "isa/microop.hh"
+#include "util/durable_file.hh"
 
 namespace fo4::trace
 {
@@ -44,7 +45,7 @@ constexpr std::uint32_t kCaptureVersion = 1;
  * above this is bit rot, not a frame: it is refused (TraceCorrupt)
  * before any allocation or tail comparison, so a rotted length cannot
  * masquerade as a torn tail or drive a huge reserve.  The writer
- * flushes op batches far below this.
+ * refuses an op batch that would not fit.
  */
 constexpr std::uint32_t kMaxCaptureFrame = 1u << 20;
 
@@ -63,13 +64,6 @@ struct CaptureContents
 };
 
 /**
- * True iff `path` starts with the capture magic.  A missing or
- * unreadable file is simply "not a capture" — the caller's format
- * fallback will produce the typed open error.
- */
-bool isCaptureFile(const std::string &path);
-
-/**
  * Reads and validates a capture file.
  *
  * Lenient about *truncation* (the journal's torn-tail rule): a file
@@ -85,9 +79,9 @@ bool isCaptureFile(const std::string &path);
 CaptureContents readCapture(const std::string &path);
 
 /**
- * Streams a capture to disk.  create() opens `path + ".tmp"`; close()
- * seals the end frame, fsyncs and renames into place.  A writer
- * destroyed without close() unlinks the tmp file — an aborted
+ * Streams a capture to disk through util::AtomicFile: create() opens
+ * the temporary, close() seals the end frame and publishes.  A writer
+ * destroyed without close() unlinks the temporary — an aborted
  * recording never publishes a capture.  All I/O failures throw
  * TraceError(TraceIo); write faults injected via
  * util::setDiskFaultHook() surface the same way.
@@ -97,17 +91,15 @@ class CaptureWriter
   public:
     /**
      * `opsPerFrame` sets the op-batch flush threshold; tests shrink it
-     * to exercise multi-frame files cheaply.
+     * to exercise multi-frame files cheaply.  Throws ConfigError when
+     * one batch would not fit in a kMaxCaptureFrame frame.
      */
     static CaptureWriter create(const std::string &path,
                                 const CaptureMeta &meta = {},
                                 std::size_t opsPerFrame = 2048);
 
-    CaptureWriter(CaptureWriter &&other) noexcept;
-    CaptureWriter &operator=(CaptureWriter &&other) noexcept;
-    CaptureWriter(const CaptureWriter &) = delete;
-    CaptureWriter &operator=(const CaptureWriter &) = delete;
-    ~CaptureWriter();
+    CaptureWriter(CaptureWriter &&) noexcept = default;
+    CaptureWriter &operator=(CaptureWriter &&) noexcept = default;
 
     void append(const isa::MicroOp &op);
 
@@ -116,24 +108,20 @@ class CaptureWriter
 
     /**
      * Flushes, writes the end frame, fsyncs and atomically publishes
-     * the capture.  Throws ConfigError on an empty capture — the same
-     * refusal recordTrace() makes for the flat format.
+     * the capture.  Throws ConfigError on an empty capture.
      */
     void close();
 
   private:
-    CaptureWriter(int fd, std::string finalPath, std::string tmp,
-                  std::size_t opsPerFrame);
+    explicit CaptureWriter(std::size_t opsPerFrame);
 
-    void writeFrame(char kind, const void *body, std::size_t size);
+    void write(std::string_view bytes);
+    void writeFrame(char kind, std::string_view body);
     void flushOps();
-    void abandon() noexcept;
 
-    int fd = -1;
-    std::string path;
-    std::string tmpPath;
+    util::AtomicFile file;
     std::size_t opsPerFrame = 2048;
-    std::vector<unsigned char> pending;
+    std::string pending;
     std::uint64_t count = 0;
 };
 

@@ -103,10 +103,10 @@ DecodedTraceRegistry::viewForProfile(const BenchmarkProfile &profile)
 std::unique_ptr<DecodedTraceView>
 DecodedTraceRegistry::viewForFile(const std::string &path)
 {
-    // openTraceFile sniffs the format, so capture files and flat v1
-    // trace files both replay through the decoded registry.
-    return viewFor("file:" + path,
-                   [&path] { return openTraceFile(path); });
+    return viewFor("file:" + path, [&path] {
+        return std::unique_ptr<TraceSource>(
+            std::make_unique<RecordedTrace>(path));
+    });
 }
 
 std::size_t

@@ -3,12 +3,10 @@
 
 /**
  * @file
- * trace::RecordedTrace — replays a capture file as a TraceSource, and
- * openTraceFile() — the one place on-disk trace formats are sniffed.
+ * trace::RecordedTrace — replays a capture file as a TraceSource.
  */
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -21,14 +19,15 @@ namespace fo4::trace
 
 /**
  * Replays the ops of a finalized capture, cycling when exhausted and
- * renumbering seq by stream position, exactly like FileTrace.
+ * renumbering seq by stream position, like the synthetic generator.
  *
  * Refuses unfinalized captures: readCapture() will happily salvage the
  * valid prefix of a torn file for inspection tooling, but *replaying*
  * a truncated stream would silently simulate different instructions
- * than the recorded run — the same reason FileTrace refuses stray
- * trailing bytes — so construction throws TraceError(TraceCorrupt)
- * instead.
+ * than the recorded run, so construction throws
+ * TraceError(TraceCorrupt) instead.  Anything that is not a capture —
+ * including a file in the retired flat FO4TRACE format — is a
+ * TraceError(TraceFormat).
  */
 class RecordedTrace final : public TraceSource
 {
@@ -58,15 +57,6 @@ class RecordedTrace final : public TraceSource
     std::size_t pos = 0;
     std::uint64_t seq = 0;
 };
-
-/**
- * Opens an on-disk trace by sniffing its magic: a capture file yields
- * a RecordedTrace, anything else is handed to FileTrace (which raises
- * the usual typed errors for non-traces).  Every consumer of trace
- * paths — runJob, the decoded-trace registry, the CLIs — goes through
- * here, so both formats work everywhere a trace path is accepted.
- */
-std::unique_ptr<TraceSource> openTraceFile(const std::string &path);
 
 } // namespace fo4::trace
 

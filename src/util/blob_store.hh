@@ -14,9 +14,10 @@
  *                         as a different entry)
  *     payload bytes
  *
- * Publication follows the §8 durability discipline: write to
- * `<final>.tmp.<pid>`, fsync, rename, fsync the parent directory — a
- * reader never observes a half-written blob under its final name.
+ * A blob is one record, not a frame stream.  Publication goes through
+ * util::AtomicFile (DESIGN.md §8) — a reader never observes a
+ * half-written blob under its final name — and disk faults are injected
+ * through util::setDiskFaultHook on the temporary's path.
  *
  * The robustness contract is the whole point (DESIGN.md §15): a cache
  * must *never* betray the byte-identity contract, so every failure
@@ -46,12 +47,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <optional>
 #include <string>
 
-#include "util/journal.hh"
+#include "util/durable_file.hh"
 
 namespace fo4::util
 {
@@ -59,24 +59,6 @@ namespace fo4::util
 /** Blob header format version; bumped on layout change, and a mismatch
  *  is a miss rather than corruption. */
 constexpr std::uint32_t kBlobVersion = 1;
-
-/**
- * Fault-injection hooks for the chaos harness (tests only).  All are
- * optional; an empty hook is a no-op.
- */
-struct BlobStoreHooks
-{
-    /** Consulted before each payload write; return a fault to make the
-     *  write land short and fail typed (see util::DiskFault). */
-    std::function<std::optional<DiskFault>(const std::string &key)>
-        onWrite;
-    /** Runs after a blob is renamed into place (flip bytes, unlink…). */
-    std::function<void(const std::string &key, const std::string &path)>
-        afterPublish;
-    /** Runs before each read attempt (unlink races, truncation…). */
-    std::function<void(const std::string &key, const std::string &path)>
-        beforeRead;
-};
 
 /** Lifetime operation counts (also mirrored into the global metrics
  *  registry under `<counterPrefix>.*`). */
@@ -135,10 +117,6 @@ class BlobStore
     const BlobStoreStats &stats() const { return st; }
     const std::string &directory() const { return root; }
 
-    /** Install chaos hooks (tests).  Not thread-safe against in-flight
-     *  operations — install before use. */
-    void setHooks(BlobStoreHooks h) { hooks = std::move(h); }
-
     /** Filesystem path a key maps to (exposed for tests/chaos). */
     std::string pathFor(const std::string &key) const;
 
@@ -150,7 +128,6 @@ class BlobStore
     std::string root;
     std::uint64_t maxBytes;
     std::string prefix;
-    BlobStoreHooks hooks;
     BlobStoreStats st;
     std::mutex putMutex;
 };

@@ -1,13 +1,5 @@
 #include "util/csv.hh"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
-
-#include <fcntl.h>
-#include <unistd.h>
-
-#include "util/journal.hh"
 #include "util/logging.hh"
 #include "util/status.hh"
 
@@ -16,22 +8,6 @@ namespace fo4::util
 
 namespace
 {
-
-[[noreturn]] void
-throwIo(const std::string &path, const char *what)
-{
-    throw JournalError(ErrorCode::JournalIo,
-                       strprintf("csv '%s': %s: %s", path.c_str(), what,
-                                 std::strerror(errno)));
-}
-
-Status
-csvError(const std::string &path, const char *what)
-{
-    return Status(ErrorCode::JournalIo,
-                  strprintf("csv '%s': %s: %s", path.c_str(), what,
-                            std::strerror(errno)));
-}
 
 /** Render one row exactly as CsvWriter would stream it. */
 std::string
@@ -49,20 +25,10 @@ renderRow(const std::vector<std::string> &cells)
 
 } // namespace
 
-AtomicCsvFile::AtomicCsvFile(std::string p)
-    : path(std::move(p)), tmp(path + ".tmp")
+AtomicCsvFile::AtomicCsvFile(const std::string &path)
 {
-    fd = ::open(tmp.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
-    if (fd < 0)
-        throwIo(path, "cannot create temporary");
-}
-
-AtomicCsvFile::~AtomicCsvFile()
-{
-    if (fd >= 0)
-        ::close(fd);
-    if (!done)
-        std::remove(tmp.c_str()); // best effort; a stale .tmp is harmless
+    if (const Status st = file.open(path); !st.isOk())
+        throw JournalError(st.code(), "csv " + st.message());
 }
 
 void
@@ -76,8 +42,7 @@ Status
 AtomicCsvFile::tryWriteRow(const std::vector<std::string> &cells)
 {
     FO4_ASSERT(!done, "writeRow after commit()");
-    const std::string row = renderRow(cells);
-    const Status st = writeAllStatus(fd, row.data(), row.size(), tmp);
+    const Status st = file.write(renderRow(cells));
     if (!st.isOk())
         failed = true;
     return st;
@@ -98,26 +63,11 @@ AtomicCsvFile::tryCommit()
         return Status(ErrorCode::JournalIo,
                       strprintf("csv '%s': commit refused after an "
                                 "earlier write failure",
-                                path.c_str()));
+                                file.path().c_str()));
     }
-    if (::fsync(fd) != 0)
-        return csvError(path, "fsync failed");
-    if (::close(fd) != 0) {
-        fd = -1;
-        return csvError(path, "close failed");
-    }
-    fd = -1;
-    if (std::rename(tmp.c_str(), path.c_str()) != 0)
-        return csvError(path, "rename into place failed");
-    // The rename is only durable once the directory entry is: without
-    // this the published CSV can vanish on power loss (DESIGN.md §8).
-    try {
-        fsyncParentDirectory(path);
-    } catch (const JournalError &e) {
-        return Status(e.code(), e.what());
-    }
-    done = true;
-    return Status::ok();
+    const Status st = file.commit();
+    done = st.isOk();
+    return st;
 }
 
 std::string

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "util/durable_file.hh"
 #include "util/status.hh"
 
 namespace fo4::util
@@ -34,27 +35,24 @@ class CsvWriter
 };
 
 /**
- * Crash-safe CSV output file.  Rows accumulate in `<path>.tmp`; commit()
- * flushes, fsyncs and atomically renames onto `path`, so a reader (or a
- * rerun after a crash) never observes a half-written CSV — it sees either
- * the previous complete file or the new complete file.  Destroying an
- * uncommitted AtomicCsvFile removes the temporary (best effort).
+ * Crash-safe CSV output file, published through util::AtomicFile: rows
+ * accumulate in the temporary and commit() makes the whole file visible
+ * at once, so a reader (or a rerun after a crash) never observes a
+ * half-written CSV.  Destroying an uncommitted AtomicCsvFile removes
+ * the temporary.
  *
  * Failures to create, write, sync or rename throw
  * JournalError(ErrorCode::JournalIo) — the same durability error class
  * the write-ahead journal uses.  The try* variants return the same
  * failures as a typed Status instead, so a caller mid-sweep can treat a
- * full disk as "no CSV today" rather than an aborted run; writes go
- * through writeAllStatus and therefore honour the disk-fault hook.
+ * full disk as "no CSV today" rather than an aborted run; writes honour
+ * the disk-fault hook.
  */
 class AtomicCsvFile
 {
   public:
-    /** Open `<path>.tmp` for writing (truncating any stale leftover). */
-    explicit AtomicCsvFile(std::string path);
-
-    /** Discards the temporary if commit() was never reached. */
-    ~AtomicCsvFile();
+    /** Create the temporary for `path` (truncating a stale leftover). */
+    explicit AtomicCsvFile(const std::string &path);
 
     AtomicCsvFile(const AtomicCsvFile &) = delete;
     AtomicCsvFile &operator=(const AtomicCsvFile &) = delete;
@@ -66,9 +64,8 @@ class AtomicCsvFile
     Status tryWriteRow(const std::vector<std::string> &cells);
 
     /**
-     * Make the file visible at its final path: flush, fsync, rename,
-     * fsync the parent directory.  Call exactly once, after the last
-     * row; no rows may be written afterwards.
+     * Make the file visible at its final path.  Call exactly once,
+     * after the last row; no rows may be written afterwards.
      */
     void commit();
 
@@ -79,12 +76,10 @@ class AtomicCsvFile
     bool committed() const { return done; }
 
     /** Where rows land before commit() (exposed for tests). */
-    const std::string &tempPath() const { return tmp; }
+    const std::string &tempPath() const { return file.tmpPath(); }
 
   private:
-    std::string path;
-    std::string tmp;
-    int fd = -1;
+    AtomicFile file;
     bool failed = false;
     bool done = false;
 };

@@ -4,8 +4,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <array>
 #include <cerrno>
 #include <cstring>
 
@@ -17,195 +15,44 @@ namespace fo4::util
 namespace
 {
 
-/** "FO4 JouRNaL" + a newline so `head` shows binary-file damage fast. */
-constexpr char kMagic[8] = {'F', 'O', '4', 'J', 'R', 'N', 'L', '\n'};
-constexpr std::size_t kHeaderBytes = 32;
-constexpr std::size_t kFrameBytes = 8; // u32 length + u32 crc
-
-void
-putU32(unsigned char *p, std::uint32_t v)
-{
-    p[0] = static_cast<unsigned char>(v);
-    p[1] = static_cast<unsigned char>(v >> 8);
-    p[2] = static_cast<unsigned char>(v >> 16);
-    p[3] = static_cast<unsigned char>(v >> 24);
-}
-
-void
-putU64(unsigned char *p, std::uint64_t v)
-{
-    putU32(p, static_cast<std::uint32_t>(v));
-    putU32(p + 4, static_cast<std::uint32_t>(v >> 32));
-}
-
-std::uint32_t
-getU32(const unsigned char *p)
-{
-    return static_cast<std::uint32_t>(p[0]) |
-           static_cast<std::uint32_t>(p[1]) << 8 |
-           static_cast<std::uint32_t>(p[2]) << 16 |
-           static_cast<std::uint32_t>(p[3]) << 24;
-}
-
-std::uint64_t
-getU64(const unsigned char *p)
-{
-    return static_cast<std::uint64_t>(getU32(p)) |
-           static_cast<std::uint64_t>(getU32(p + 4)) << 32;
-}
-
-/**
- * Header layout (little-endian, 32 bytes):
- *   [0,8)   magic
- *   [8,12)  format version
- *   [12,16) flags (reserved, 0)
- *   [16,24) identity fingerprint
- *   [24,28) CRC32 of bytes [0,24)
- *   [28,32) reserved (0)
- */
-void
-encodeHeader(unsigned char (&h)[kHeaderBytes], std::uint64_t fingerprint)
-{
-    std::memset(h, 0, sizeof(h));
-    std::memcpy(h, kMagic, sizeof(kMagic));
-    putU32(h + 8, kJournalVersion);
-    putU32(h + 12, 0);
-    putU64(h + 16, fingerprint);
-    putU32(h + 24, crc32(h, 24));
-}
+/** "FO4 JouRNaL" + a newline so `head` shows binary-file damage fast;
+ *  the header's u64 word is the identity fingerprint. */
+constexpr ContainerFormat kJournalFormat = {
+    .noun = "journal",
+    .magic = "FO4JRNL\n",
+    .version = kJournalVersion,
+    .minFrame = 0,
+    .maxFrame = kMaxJournalRecord,
+    .io = ErrorCode::JournalIo,
+    .format = ErrorCode::JournalFormat,
+    .corrupt = ErrorCode::JournalCorrupt,
+};
 
 [[noreturn]] void
-throwErrno(ErrorCode code, const std::string &what, const std::string &path)
+throwErrno(const std::string &what, const std::string &path)
 {
-    throw JournalError(code, strprintf("journal '%s': %s: %s",
-                                       path.c_str(), what.c_str(),
-                                       std::strerror(errno)));
+    throw JournalError(ErrorCode::JournalIo,
+                       strprintf("journal '%s': %s: %s", path.c_str(),
+                                 what.c_str(), std::strerror(errno)));
 }
 
 int
-openOrThrow(const std::string &path, int flags, mode_t mode = 0644)
+openOrThrow(const std::string &path, int flags)
 {
-    const int fd = ::open(path.c_str(), flags, mode);
+    const int fd = ::open(path.c_str(), flags);
     if (fd < 0)
-        throwErrno(ErrorCode::JournalIo, "cannot open", path);
+        throwErrno("cannot open", path);
     return fd;
 }
 
-DiskFaultHook &
-diskFaultHook()
-{
-    static DiskFaultHook hook;
-    return hook;
-}
-
 void
-writeAllOrThrow(int fd, const void *data, std::size_t size,
-                const std::string &path)
+throwIfError(const Status &st)
 {
-    if (const Status st = writeAllStatus(fd, data, size, path);
-        !st.isOk())
+    if (!st.isOk())
         throw JournalError(st.code(), st.message());
 }
 
-void
-fsyncOrThrow(int fd, const std::string &path)
-{
-    if (::fsync(fd) != 0)
-        throwErrno(ErrorCode::JournalIo, "fsync failed", path);
-}
-
 } // namespace
-
-void
-setDiskFaultHook(DiskFaultHook hook)
-{
-    diskFaultHook() = std::move(hook);
-}
-
-Status
-writeAllStatus(int fd, const void *data, std::size_t size,
-               const std::string &path)
-{
-    const std::size_t requested = size;
-    const auto *p = static_cast<const unsigned char *>(data);
-
-    if (const DiskFaultHook &hook = diskFaultHook()) {
-        if (const std::optional<DiskFault> fault = hook(path)) {
-            // Land the partial prefix for real (a torn record the
-            // recovery reader must cope with), then fail typed.
-            std::size_t landed = 0;
-            while (landed < fault->shortWriteBytes && landed < size) {
-                const ssize_t n = ::write(
-                    fd, p + landed,
-                    std::min(fault->shortWriteBytes, size) - landed);
-                if (n <= 0)
-                    break;
-                landed += static_cast<std::size_t>(n);
-            }
-            return Status(
-                ErrorCode::JournalIo,
-                strprintf("'%s': write failed after %zu of %zu bytes: "
-                          "%s (injected fault)",
-                          path.c_str(), landed, requested,
-                          std::strerror(fault->failErrno)));
-        }
-    }
-
-    while (size > 0) {
-        const ssize_t n = ::write(fd, p, size);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return Status(
-                ErrorCode::JournalIo,
-                strprintf("'%s': write failed after %zu of %zu bytes: "
-                          "%s",
-                          path.c_str(), requested - size, requested,
-                          std::strerror(errno)));
-        }
-        p += n;
-        size -= static_cast<std::size_t>(n);
-    }
-    return Status::ok();
-}
-
-void
-fsyncParentDirectory(const std::string &path)
-{
-    const auto slash = path.find_last_of('/');
-    const std::string dir =
-        slash == std::string::npos ? "." : path.substr(0, slash + 1);
-    const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-    if (fd < 0)
-        throwErrno(ErrorCode::JournalIo, "cannot open directory", dir);
-    const bool ok = ::fsync(fd) == 0;
-    ::close(fd);
-    if (!ok)
-        throwErrno(ErrorCode::JournalIo, "directory fsync failed", dir);
-}
-
-std::uint32_t
-crc32(const void *data, std::size_t size, std::uint32_t crc)
-{
-    // Standard reflected CRC-32 (polynomial 0xEDB88320), table built on
-    // first use.
-    static const auto table = [] {
-        std::array<std::uint32_t, 256> t{};
-        for (std::uint32_t i = 0; i < 256; ++i) {
-            std::uint32_t c = i;
-            for (int k = 0; k < 8; ++k)
-                c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
-            t[i] = c;
-        }
-        return t;
-    }();
-
-    const auto *p = static_cast<const unsigned char *>(data);
-    std::uint32_t c = crc ^ 0xFFFFFFFFu;
-    for (std::size_t i = 0; i < size; ++i)
-        c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
-    return c ^ 0xFFFFFFFFu;
-}
 
 bool
 journalExists(const std::string &path)
@@ -217,93 +64,15 @@ journalExists(const std::string &path)
 JournalContents
 readJournal(const std::string &path)
 {
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0)
-        throwErrno(ErrorCode::JournalIo, "cannot open", path);
-
-    std::string data;
-    char buf[1 << 16];
-    for (;;) {
-        const ssize_t n = ::read(fd, buf, sizeof(buf));
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            ::close(fd);
-            throwErrno(ErrorCode::JournalIo, "read failed", path);
-        }
-        if (n == 0)
-            break;
-        data.append(buf, static_cast<std::size_t>(n));
-    }
-    ::close(fd);
-
-    const auto *bytes =
-        reinterpret_cast<const unsigned char *>(data.data());
-
-    if (data.size() < kHeaderBytes) {
-        throw JournalError(
-            ErrorCode::JournalFormat,
-            strprintf("journal '%s': truncated header (%zu of %zu bytes)",
-                      path.c_str(), data.size(), kHeaderBytes));
-    }
-    if (std::memcmp(bytes, kMagic, sizeof(kMagic)) != 0) {
-        throw JournalError(
-            ErrorCode::JournalFormat,
-            strprintf("journal '%s': bad magic (not a journal file)",
-                      path.c_str()));
-    }
-    if (const std::uint32_t crc = getU32(bytes + 24);
-        crc != crc32(bytes, 24)) {
-        throw JournalError(
-            ErrorCode::JournalCorrupt,
-            strprintf("journal '%s': header CRC mismatch "
-                      "(stored %08x, computed %08x)",
-                      path.c_str(), crc, crc32(bytes, 24)));
-    }
-    if (const std::uint32_t version = getU32(bytes + 8);
-        version != kJournalVersion) {
-        throw JournalError(
-            ErrorCode::JournalFormat,
-            strprintf("journal '%s': format version %u, this build "
-                      "speaks %u",
-                      path.c_str(), version, kJournalVersion));
-    }
-
     JournalContents contents;
-    contents.fingerprint = getU64(bytes + 16);
-    contents.validBytes = kHeaderBytes;
-
-    std::size_t offset = kHeaderBytes;
-    while (offset < data.size()) {
-        // An incomplete trailing frame — length/CRC words or payload cut
-        // short by a crash mid-append — is the one tolerated damage: the
-        // record was never acknowledged, so dropping it loses nothing.
-        if (data.size() - offset < kFrameBytes ||
-            data.size() - offset - kFrameBytes <
-                getU32(bytes + offset)) {
-            contents.tornTail = true;
-            break;
-        }
-        const std::uint32_t length = getU32(bytes + offset);
-        const std::uint32_t stored = getU32(bytes + offset + 4);
-        const unsigned char *payload = bytes + offset + kFrameBytes;
-        // A complete frame whose payload fails its CRC is not a torn
-        // append; it is bit rot (or an overwrite) inside acknowledged
-        // data, and trusting anything after it would risk wrong results.
-        if (const std::uint32_t computed = crc32(payload, length);
-            computed != stored) {
-            throw JournalError(
-                ErrorCode::JournalCorrupt,
-                strprintf("journal '%s': record %zu CRC mismatch at "
-                          "offset %zu (stored %08x, computed %08x)",
-                          path.c_str(), contents.records.size(), offset,
-                          stored, computed));
-        }
-        contents.records.emplace_back(
-            reinterpret_cast<const char *>(payload), length);
-        offset += kFrameBytes + length;
-        contents.validBytes = offset;
-    }
+    ContainerScan scan;
+    throwIfError(readContainer(path, kJournalFormat, scan,
+                               [&](std::string_view record) {
+                                   contents.records.emplace_back(record);
+                               }));
+    contents.fingerprint = scan.word;
+    contents.tornTail = scan.tornTail;
+    contents.validBytes = scan.validBytes;
     return contents;
 }
 
@@ -316,29 +85,15 @@ JournalWriter
 JournalWriter::create(const std::string &path, std::uint64_t fingerprint,
                       bool syncEveryRecord)
 {
-    unsigned char header[kHeaderBytes];
-    encodeHeader(header, fingerprint);
-
-    // Header via tmp + rename: a crash leaves either the old state or a
-    // complete new journal, never a file with a partial header.
-    const std::string tmp = path + ".tmp";
-    const int tmpFd =
-        openOrThrow(tmp, O_CREAT | O_TRUNC | O_WRONLY);
-    try {
-        writeAllOrThrow(tmpFd, header, sizeof(header), tmp);
-        fsyncOrThrow(tmpFd, tmp);
-    } catch (...) {
-        ::close(tmpFd);
-        ::unlink(tmp.c_str());
-        throw;
-    }
-    ::close(tmpFd);
-    if (::rename(tmp.c_str(), path.c_str()) != 0) {
-        ::unlink(tmp.c_str());
-        throwErrno(ErrorCode::JournalIo, "rename failed", path);
-    }
-    fsyncParentDirectory(path);
-
+    // A crash leaves either the old state or a complete new journal,
+    // never a file with a partial header.
+    AtomicFile file;
+    Status st = file.open(path);
+    if (st.isOk())
+        st = file.write(containerHeader(kJournalFormat, fingerprint));
+    if (st.isOk())
+        st = file.commit();
+    throwIfError(st);
     return JournalWriter(openOrThrow(path, O_WRONLY | O_APPEND), path,
                          syncEveryRecord);
 }
@@ -353,11 +108,11 @@ JournalWriter::appendTo(const std::string &path,
     // before new appends land after it.
     if (::ftruncate(fd, static_cast<off_t>(recovered.validBytes)) != 0) {
         ::close(fd);
-        throwErrno(ErrorCode::JournalIo, "truncate failed", path);
+        throwErrno("truncate failed", path);
     }
     if (::lseek(fd, 0, SEEK_END) < 0) {
         ::close(fd);
-        throwErrno(ErrorCode::JournalIo, "seek failed", path);
+        throwErrno("seek failed", path);
     }
     return JournalWriter(fd, path, syncEveryRecord);
 }
@@ -391,24 +146,25 @@ JournalWriter::~JournalWriter()
 void
 JournalWriter::append(std::string_view payload)
 {
-    if (const Status st = tryAppend(payload); !st.isOk())
-        throw JournalError(st.code(), st.message());
+    throwIfError(tryAppend(payload));
 }
 
 Status
 JournalWriter::tryAppend(std::string_view payload)
 {
     FO4_ASSERT(fd >= 0, "append on a closed journal");
-    FO4_ASSERT(payload.size() <= 0xFFFFFFFFu,
-               "journal record too large (%zu bytes)", payload.size());
+    if (payload.size() > kMaxJournalRecord) {
+        return Status(ErrorCode::JournalIo,
+                      strprintf("journal '%s': a %zu-byte record exceeds "
+                                "the %u-byte record bound",
+                                path.c_str(), payload.size(),
+                                kMaxJournalRecord));
+    }
     // One frame, one write(): the kernel may still tear it across
     // sectors on a crash, but recovery handles exactly that case.
-    std::string frame;
-    frame.resize(kFrameBytes);
-    auto *head = reinterpret_cast<unsigned char *>(frame.data());
-    putU32(head, static_cast<std::uint32_t>(payload.size()));
-    putU32(head + 4, crc32(payload.data(), payload.size()));
+    std::string frame(kFrameHeadBytes, '\0');
     frame.append(payload);
+    sealFrame(frame);
     if (const Status st =
             writeAllStatus(fd, frame.data(), frame.size(), path);
         !st.isOk())
@@ -421,8 +177,7 @@ JournalWriter::tryAppend(std::string_view payload)
 void
 JournalWriter::sync()
 {
-    FO4_ASSERT(fd >= 0, "sync on a closed journal");
-    fsyncOrThrow(fd, path);
+    throwIfError(trySync());
 }
 
 Status
@@ -442,7 +197,7 @@ JournalWriter::close()
 {
     if (fd < 0)
         return;
-    fsyncOrThrow(fd, path);
+    throwIfError(trySync());
     ::close(fd);
     fd = -1;
 }

@@ -3,7 +3,8 @@
  * Write-ahead result journal: the durability primitive under the
  * crash-safe sweep engine (study::CheckpointedRunner).
  *
- * A journal is an append-only record log:
+ * A journal is an append-only record log, a framed container of the
+ * durable-file layer (util/durable_file.hh):
  *
  *     header (32 bytes): magic, format version, identity fingerprint,
  *                        header CRC32
@@ -11,8 +12,7 @@
  *
  * Durability discipline:
  *
- *  - the header is created atomically: written to `<path>.tmp`,
- *    fsync'd, renamed over `<path>`, and the directory fsync'd — a
+ *  - the header is created atomically through util::AtomicFile — a
  *    crash during creation leaves either no journal or a complete one,
  *    never a half-written header;
  *  - each record is appended with a single write() and (by default)
@@ -36,51 +36,15 @@
 #define FO4_UTIL_JOURNAL_HH
 
 #include <cstdint>
-#include <functional>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "util/durable_file.hh"
 #include "util/status.hh"
 
 namespace fo4::util
 {
-
-// ---------------------------------------------------------------------
-// Disk-fault injection (test seam)
-// ---------------------------------------------------------------------
-
-/**
- * One injected disk fault: the write lands `shortWriteBytes` bytes for
- * real (modelling a partial write as the disk fills), then fails with
- * `failErrno`.  The default is an immediate ENOSPC.
- */
-struct DiskFault
-{
-    int failErrno = 28; // ENOSPC
-    std::size_t shortWriteBytes = 0;
-};
-
-/**
- * Process-wide hook consulted by every durable write path (journal
- * appends, atomic CSV rows, blob-store publication).  Return a fault to
- * inject for writes to `path`, nullopt to let the write proceed.  Test
- * seam only; pass nullptr to clear.  Not thread-safe against concurrent
- * writers — install before the writers start.
- */
-using DiskFaultHook =
-    std::function<std::optional<DiskFault>(const std::string &path)>;
-void setDiskFaultHook(DiskFaultHook hook);
-
-/**
- * Write all `size` bytes to `fd` (EINTR-safe), honouring the disk-fault
- * hook.  Returns Ok or a JournalIo Status naming `path`, the errno text
- * and how many bytes actually landed — the typed surface for ENOSPC and
- * short writes that the journal/CSV durability paths build on.
- */
-Status writeAllStatus(int fd, const void *data, std::size_t size,
-                      const std::string &path);
 
 /**
  * Current journal format version (header field).  v2 widened the cell
@@ -90,19 +54,14 @@ Status writeAllStatus(int fd, const void *data, std::size_t size,
  */
 constexpr std::uint32_t kJournalVersion = 2;
 
-/** CRC-32 (IEEE 802.3, reflected); chainable via `crc`. */
-std::uint32_t crc32(const void *data, std::size_t size,
-                    std::uint32_t crc = 0);
-
 /**
- * fsync the directory containing `path`.  A rename makes a file visible
- * under its final name, but only the *directory entry's* durability —
- * this fsync — guarantees the published file cannot vanish on power
- * loss.  Every tmp→final rename in the repo (journal creation, atomic
- * CSV publication) ends with this call; throws
- * JournalError(JournalIo) on failure.
+ * Largest record a journal holds: far above any cell record (a few
+ * hundred bytes plus the benchmark name and error message).  append()
+ * refuses a larger record, and readJournal() refuses a length word
+ * above it as corruption — so a rotted length word inside acknowledged
+ * data cannot pass for a torn tail.
  */
-void fsyncParentDirectory(const std::string &path);
+constexpr std::uint32_t kMaxJournalRecord = 1u << 20;
 
 /** Everything recovery learns from an existing journal. */
 struct JournalContents
@@ -126,9 +85,9 @@ struct JournalContents
  *  - JournalIo: the file cannot be opened or read;
  *  - JournalFormat: truncated or non-journal header, or a format
  *    version this build does not speak;
- *  - JournalCorrupt: header CRC mismatch, or a CRC mismatch on a
- *    record whose frame is complete (mid-file bit rot, not a torn
- *    append).
+ *  - JournalCorrupt: header CRC mismatch, a record length word above
+ *    kMaxJournalRecord, or a CRC mismatch on a record whose frame is
+ *    complete (mid-file bit rot, not a torn append).
  */
 JournalContents readJournal(const std::string &path);
 
@@ -148,7 +107,7 @@ class JournalWriter
   public:
     /**
      * Atomically create `path` with a fresh header carrying
-     * `fingerprint` (tmp-file + fsync + rename + directory fsync) and
+     * `fingerprint` (through util::AtomicFile) and
      * open it for appending.  An existing file at `path` is replaced.
      * `syncEveryRecord` makes each append() fsync before returning
      * (durable but slower); pass false to batch syncs and call sync()
@@ -176,7 +135,8 @@ class JournalWriter
     ~JournalWriter();
 
     /** Append one record (single write(); fsync if syncEveryRecord).
-     *  Throws JournalError(JournalIo) on write/sync failure. */
+     *  Throws JournalError(JournalIo) on write/sync failure, or on a
+     *  record above kMaxJournalRecord. */
     void append(std::string_view payload);
 
     /**

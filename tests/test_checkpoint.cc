@@ -21,7 +21,7 @@
 #include "study/parallel.hh"
 #include "study/runner.hh"
 #include "study/scaling.hh"
-#include "trace/file_trace.hh"
+#include "trace/capture.hh"
 #include "trace/generator.hh"
 #include "trace/spec2000.hh"
 #include "util/journal.hh"
@@ -54,16 +54,24 @@ smallSpec()
     return spec;
 }
 
-/** Write a short trace with one record's op-class byte destroyed. */
+/** Write a short capture with one record's op-class byte rotted. */
 std::string
 makeCorruptTrace(const std::string &name)
 {
     const std::string path = tempPath(name);
-    auto prof = trace::spec2000Profile("164.gzip");
-    trace::SyntheticTraceGenerator gen(prof);
-    trace::recordTrace(path, gen, 512);
+    {
+        auto prof = trace::spec2000Profile("164.gzip");
+        trace::SyntheticTraceGenerator gen(prof);
+        auto writer = trace::CaptureWriter::create(path);
+        for (int i = 0; i < 512; ++i)
+            writer.append(gen.next());
+        writer.close();
+    }
+    // Layout: 32-byte header, 9-byte empty meta frame, then the op
+    // frame's 8-byte head and kind byte.  The rotted byte no longer
+    // matches its frame CRC.
     std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(16 + 32 * 50 + 30);
+    f.seekp(50 + 32 * 50 + 30);
     f.put(static_cast<char>(0xEE));
     return path;
 }
@@ -226,7 +234,7 @@ TEST(CheckpointedRunner, ThreadCountResolution)
 
 TEST(CheckpointedRunner, JournallessRunMatchesParallelEngine)
 {
-    const auto corrupt = makeCorruptTrace("ckpt_nojournal_corrupt.fo4t");
+    const auto corrupt = makeCorruptTrace("ckpt_nojournal_corrupt.fo4cap");
     const auto jobs = mixedJobs(corrupt);
     const auto points = twoPoints();
     const auto spec = smallSpec();
@@ -254,7 +262,7 @@ TEST(CheckpointedRunner, JournalWriteFailureDegradesToJournallessRun)
     // bytes as a journalless run, and counts the failure — never an
     // aborted sweep over lost durability.
     const bool wasEnabled = util::setMetricsEnabled(true);
-    const auto corrupt = makeCorruptTrace("ckpt_degraded_corrupt.fo4t");
+    const auto corrupt = makeCorruptTrace("ckpt_degraded_corrupt.fo4cap");
     const auto jobs = mixedJobs(corrupt);
     const auto points = twoPoints();
     const auto spec = smallSpec();
@@ -263,8 +271,9 @@ TEST(CheckpointedRunner, JournalWriteFailureDegradesToJournallessRun)
         study::ParallelRunner(1).runGrid(points, jobs, spec));
 
     const std::string journal = tempPath("ckpt_degraded.j");
-    // Creation writes the header via <path>.tmp and is keyed off that
-    // name, so only the per-cell record appends see the fault.
+    // Creation writes the header via the AtomicFile temporary and is
+    // keyed off that name, so only the per-cell record appends see the
+    // fault.
     util::setDiskFaultHook(
         [journal](const std::string &p)
             -> std::optional<util::DiskFault> {
@@ -301,7 +310,7 @@ TEST(CheckpointedRunner, JournalWriteFailureDegradesToJournallessRun)
 
 TEST(CheckpointedRunner, KofNResumeIsByteIdenticalAtEveryThreadCount)
 {
-    const auto corrupt = makeCorruptTrace("ckpt_resume_corrupt.fo4t");
+    const auto corrupt = makeCorruptTrace("ckpt_resume_corrupt.fo4cap");
     const auto jobs = mixedJobs(corrupt);
     const auto points = twoPoints();
     const auto spec = smallSpec();
@@ -473,7 +482,7 @@ TEST(CheckpointedRunner, RetriesOnlyUntilAttemptsExhausted)
 
 TEST(CheckpointedRunner, PermanentFailuresAreNeverRetried)
 {
-    const auto corrupt = makeCorruptTrace("ckpt_noretry_corrupt.fo4t");
+    const auto corrupt = makeCorruptTrace("ckpt_noretry_corrupt.fo4cap");
     const std::vector<study::BenchJob> jobs{
         study::BenchJob::fromTraceFile(
             "corrupt", trace::BenchClass::Integer, corrupt)};
@@ -498,7 +507,7 @@ TEST(CheckpointedRunner, PermanentFailuresAreNeverRetried)
 
 TEST(CheckpointedRunner, RetrySucceedsWhenTheFileReappears)
 {
-    const auto path = tempPath("ckpt_reappearing.fo4t");
+    const auto path = tempPath("ckpt_reappearing.fo4cap");
     const std::vector<study::BenchJob> jobs{
         study::BenchJob::fromTraceFile(
             "flaky", trace::BenchClass::Integer, path)};
@@ -514,7 +523,10 @@ TEST(CheckpointedRunner, RetrySucceedsWhenTheFileReappears)
             // The "NFS hiccup" heals between attempts.
             auto prof = trace::spec2000Profile("164.gzip");
             trace::SyntheticTraceGenerator gen(prof);
-            trace::recordTrace(path, gen, 4096);
+            auto writer = trace::CaptureWriter::create(path);
+            for (int i = 0; i < 4096; ++i)
+                writer.append(gen.next());
+            writer.close();
         }
     };
     study::CheckpointedRunner runner(opts);
@@ -690,5 +702,43 @@ TEST(CheckpointedRunner, CancelMidBatchedSweepResumesUnderEitherImpl)
         serializeAll(resumeReference.runGrid(points, jobs, referenceSpec)),
         reference);
     EXPECT_EQ(resumeReference.report().replayedCells, 1u);
+    std::remove(path.c_str());
+}
+
+TEST(CellRecord, LargestCellRecordFitsTheJournalBound)
+{
+    // A cell record is fixed-size apart from the benchmark name and the
+    // error message.  Give it a watchdog dump (the longest message a
+    // cell carries) padded to 64 KiB and a long name: it must still sit
+    // far inside the journal's record bound, which readJournal uses to
+    // tell a rotted length word from a torn tail.
+    util::DeadlockDump dump;
+    dump.model = "out-of-order";
+    dump.oldestStalled = std::string(64 * 1024, 'x');
+    study::CellRecord cell;
+    cell.result.name = std::string(256, 'n');
+    cell.result.error = util::DeadlockError(dump).toStatus();
+    const std::string record = study::encodeCellRecord(cell);
+    EXPECT_GT(record.size(), 64u * 1024u);
+    EXPECT_LT(record.size(), util::kMaxJournalRecord / 8);
+
+    // And the journal round-trips it.
+    const std::string path = tempPath("ckpt_big_cell.j");
+    auto writer = util::JournalWriter::create(path, 1);
+    writer.append(record);
+    writer.close();
+    const auto contents = util::readJournal(path);
+    ASSERT_EQ(contents.records.size(), 1u);
+    EXPECT_EQ(contents.records[0], record);
+    std::remove(path.c_str());
+
+    // A record above the bound is refused on append, typed, before a
+    // byte lands.
+    auto refusing = util::JournalWriter::create(path, 1);
+    const util::Status st = refusing.tryAppend(
+        std::string(util::kMaxJournalRecord + 1, 'r'));
+    EXPECT_EQ(st.code(), util::ErrorCode::JournalIo);
+    refusing.close();
+    EXPECT_TRUE(util::readJournal(path).records.empty());
     std::remove(path.c_str());
 }

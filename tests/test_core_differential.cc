@@ -24,7 +24,7 @@
 #include "study/runner.hh"
 #include "study/scaling.hh"
 #include "trace/decoded_trace.hh"
-#include "trace/file_trace.hh"
+#include "trace/capture.hh"
 #include "trace/generator.hh"
 #include "trace/spec2000.hh"
 #include "util/random.hh"
@@ -113,17 +113,25 @@ randomParams(Rng &rng)
 const char *const kPredictors[] = {"taken", "bimodal", "gshare", "local",
                                    "tournament", "perfect"};
 
-/** Write a short trace with one record's op-class byte destroyed. */
+/** Write a short capture with one record's op-class byte rotted. */
 std::string
 makeCorruptTrace(const std::string &name)
 {
     const std::string path =
         std::string(::testing::TempDir()) + "/" + name;
-    auto prof = trace::spec2000Profile("164.gzip");
-    trace::SyntheticTraceGenerator gen(prof);
-    trace::recordTrace(path, gen, 512);
+    {
+        auto prof = trace::spec2000Profile("164.gzip");
+        trace::SyntheticTraceGenerator gen(prof);
+        auto writer = trace::CaptureWriter::create(path);
+        for (int i = 0; i < 512; ++i)
+            writer.append(gen.next());
+        writer.close();
+    }
+    // Layout: 32-byte header, 9-byte empty meta frame, then the op
+    // frame's 8-byte head and kind byte.  The rotted byte no longer
+    // matches its frame CRC.
     std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(16 + 32 * 50 + 30);
+    f.seekp(50 + 32 * 50 + 30);
     f.put(static_cast<char>(0xEE));
     return path;
 }
@@ -285,7 +293,7 @@ TEST(CoreDifferential, FaultRowsAreByteIdentical)
     // Trace-load faults surface through the decoded-trace registry with
     // the reference path's exact typed error and message — and are
     // never cached as failures.
-    const auto corrupt = makeCorruptTrace("differential_corrupt.fo4t");
+    const auto corrupt = makeCorruptTrace("differential_corrupt.fo4cap");
     const auto params = study::scaledCoreParams(6.0, {});
     const auto clock = study::scaledClock(6.0);
     const auto job = study::BenchJob::fromTraceFile(
@@ -304,7 +312,7 @@ TEST(CoreDifferential, FaultRowsAreByteIdentical)
     // registry must re-attempt the load each call, so creating the file
     // after a failed batched lookup must let the next lookup succeed.
     const std::string ghost =
-        std::string(::testing::TempDir()) + "/differential_ghost.fo4t";
+        std::string(::testing::TempDir()) + "/differential_ghost.fo4cap";
     std::remove(ghost.c_str());
     const auto ghostJob = study::BenchJob::fromTraceFile(
         "ghost", trace::BenchClass::Integer, ghost);
@@ -315,9 +323,14 @@ TEST(CoreDifferential, FaultRowsAreByteIdentical)
     ASSERT_TRUE(missing.failed());
     EXPECT_EQ(missing.error.code(), util::ErrorCode::TraceIo);
 
-    auto prof = trace::spec2000Profile("164.gzip");
-    trace::SyntheticTraceGenerator gen(prof);
-    trace::recordTrace(ghost, gen, 512);
+    {
+        auto prof = trace::spec2000Profile("164.gzip");
+        trace::SyntheticTraceGenerator gen(prof);
+        auto writer = trace::CaptureWriter::create(ghost);
+        for (int i = 0; i < 512; ++i)
+            writer.append(gen.next());
+        writer.close();
+    }
     const auto found = study::runJobIsolated(params, clock, ghostJob, spec);
     EXPECT_FALSE(found.failed())
         << "registry cached a transient load failure: "

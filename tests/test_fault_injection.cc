@@ -19,9 +19,11 @@
 #include "study/parallel.hh"
 #include "study/runner.hh"
 #include "study/scaling.hh"
-#include "trace/file_trace.hh"
+#include "trace/capture.hh"
 #include "trace/generator.hh"
+#include "trace/recorded_trace.hh"
 #include "trace/spec2000.hh"
+#include "util/durable_file.hh"
 #include "util/random.hh"
 #include "util/status.hh"
 
@@ -63,14 +65,32 @@ writeFile(const std::string &path, const std::vector<char> &bytes)
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-/** Record a small healthy trace and return its raw bytes. */
+/** Record a small healthy capture and return its raw bytes. */
 std::vector<char>
 healthyTraceBytes(const std::string &path, std::uint64_t count = 256)
 {
     auto prof = trace::spec2000Profile("164.gzip");
     trace::SyntheticTraceGenerator gen(prof);
-    trace::recordTrace(path, gen, count);
+    auto writer = trace::CaptureWriter::create(path);
+    for (std::uint64_t i = 0; i < count; ++i)
+        writer.append(gen.next());
+    writer.close();
     return readFile(path);
+}
+
+/** Capture layout with empty meta: 32-byte header, 9-byte meta frame,
+ *  then the one op frame's 8-byte head, kind byte and records. */
+constexpr std::size_t kOpFrame = 32 + 9;
+constexpr std::size_t kFirstRecord = kOpFrame + 8 + 1;
+
+/** Re-seal the op frame's CRC after mutating a record, so the damage
+ *  reaches the record checks instead of the frame CRC. */
+void
+resealOpFrame(std::vector<char> &bytes)
+{
+    auto *p = reinterpret_cast<unsigned char *>(bytes.data());
+    const std::uint32_t len = util::getU32(p + kOpFrame);
+    util::putU32(p + kOpFrame + 4, util::crc32(p + kOpFrame + 8, len));
 }
 
 /** Expect loading `bytes` (written to a temp file) to raise `code`. */
@@ -78,10 +98,10 @@ void
 expectLoadError(const std::vector<char> &bytes, ErrorCode code,
                 const char *what)
 {
-    TempFile tmp("mutated.fo4t");
+    TempFile tmp("mutated.fo4cap");
     writeFile(tmp.path(), bytes);
     try {
-        trace::FileTrace t(tmp.path());
+        trace::RecordedTrace t(tmp.path());
         FAIL() << what << ": corrupted trace accepted";
     } catch (const util::TraceError &e) {
         EXPECT_EQ(e.code(), code) << what << ": " << e.what();
@@ -92,12 +112,12 @@ expectLoadError(const std::vector<char> &bytes, ErrorCode code,
 
 TEST(TraceCorruption, Matrix)
 {
-    TempFile healthy("healthy.fo4t");
+    TempFile healthy("healthy.fo4cap");
     const auto good = healthyTraceBytes(healthy.path());
-    ASSERT_EQ(good.size(), 16u + 256u * 32u);
+    ASSERT_EQ(good.size(), kFirstRecord + 256u * 32u + 8 + 1 + 8);
 
     // Sanity: the unmutated bytes load fine.
-    EXPECT_NO_THROW(trace::FileTrace t(healthy.path()));
+    EXPECT_NO_THROW(trace::RecordedTrace t(healthy.path()));
 
     // Bad magic.
     auto mutated = good;
@@ -109,39 +129,42 @@ TEST(TraceCorruption, Matrix)
     mutated[8] = 2;
     expectLoadError(mutated, ErrorCode::TraceFormat, "version skew");
 
-    // Wrong declared record size (u32 at offset 12).
-    mutated = good;
-    mutated[12] = 16;
-    expectLoadError(mutated, ErrorCode::TraceFormat, "record size");
-
     // Truncated mid-header.
     mutated.assign(good.begin(), good.begin() + 9);
     expectLoadError(mutated, ErrorCode::TraceFormat, "truncated header");
 
-    // Trailing partial record (truncated mid-write).
+    // Trailing partial frame (truncated mid-write).
     mutated.assign(good.begin(), good.end() - 7);
     expectLoadError(mutated, ErrorCode::TraceCorrupt, "partial record");
 
     // Header but no instructions.
-    mutated.assign(good.begin(), good.begin() + 16);
+    mutated.assign(good.begin(), good.begin() + 32);
     expectLoadError(mutated, ErrorCode::TraceCorrupt, "empty body");
+
+    // A flipped record byte behind the frame CRC.
+    mutated = good;
+    mutated[kFirstRecord + 32 * 17 + 3] ^= 0x10;
+    expectLoadError(mutated, ErrorCode::TraceCorrupt, "frame CRC");
 
     // Invalid op class inside a record (cls is byte 30 of each record).
     mutated = good;
-    mutated[16 + 32 * 17 + 30] = static_cast<char>(0xEE);
+    mutated[kFirstRecord + 32 * 17 + 30] = static_cast<char>(0xEE);
+    resealOpFrame(mutated);
     expectLoadError(mutated, ErrorCode::TraceCorrupt, "bad op class");
 
     // Register index out of range (src1 is bytes 24-25 of each record).
     mutated = good;
-    mutated[16 + 32 * 5 + 24] = static_cast<char>(0xFF);
-    mutated[16 + 32 * 5 + 25] = 0x7F;
+    mutated[kFirstRecord + 32 * 5 + 24] = static_cast<char>(0xFF);
+    mutated[kFirstRecord + 32 * 5 + 25] = 0x7F;
+    resealOpFrame(mutated);
     expectLoadError(mutated, ErrorCode::TraceCorrupt, "bad register");
 }
 
 TEST(TraceCorruption, RandomBitFlipsNeverCrash)
 {
-    TempFile healthy("flip_base.fo4t");
+    TempFile healthy("flip_base.fo4cap");
     const auto good = healthyTraceBytes(healthy.path());
+    const trace::RecordedTrace reference(healthy.path());
 
     util::Rng rng(2002); // deterministic: same flips every run
     int loaded = 0, rejected = 0;
@@ -150,18 +173,21 @@ TEST(TraceCorruption, RandomBitFlipsNeverCrash)
         const auto byte = rng.below(mutated.size());
         mutated[byte] ^= static_cast<char>(1u << rng.below(8));
 
-        TempFile tmp("flipped.fo4t");
+        TempFile tmp("flipped.fo4cap");
         writeFile(tmp.path(), mutated);
         try {
-            trace::FileTrace t(tmp.path());
-            ++loaded; // flip hit a don't-care field; stream still sane
+            // A flip that loads hit a reserved header byte: the
+            // replayed stream must be exactly the healthy one.
+            trace::RecordedTrace t(tmp.path());
+            trace::RecordedTrace want = reference;
+            for (std::size_t i = 0; i < t.recordedInstructions(); ++i)
+                ASSERT_EQ(t.next().pc, want.next().pc) << "byte " << byte;
+            ++loaded;
         } catch (const util::TraceError &) {
-            ++rejected; // flip hit a checked field; typed rejection
+            ++rejected; // flip hit a CRC-covered byte; typed rejection
         }
     }
-    // Both outcomes must occur: flips in seq/pc/addr are tolerated,
-    // flips in the header or class/register fields are rejected.
-    EXPECT_GT(loaded, 0);
+    // Every byte outside the reserved header word is CRC-covered.
     EXPECT_GT(rejected, 0);
     EXPECT_EQ(loaded + rejected, 200);
 }
@@ -275,9 +301,9 @@ TEST(SuiteIsolation, BrokenJobsDoNotSinkTheSuite)
 {
     // The acceptance scenario: N jobs, one with a corrupted trace file,
     // one that trips the watchdog; the other N-2 complete and aggregate.
-    TempFile corrupt("suite_corrupt.fo4t");
+    TempFile corrupt("suite_corrupt.fo4cap");
     auto bytes = healthyTraceBytes(corrupt.path(), 512);
-    bytes[16 + 32 * 40 + 30] = static_cast<char>(0xEE);
+    bytes[kFirstRecord + 32 * 40 + 30] = static_cast<char>(0xEE);
     writeFile(corrupt.path(), bytes);
 
     std::vector<study::BenchJob> jobs;
@@ -332,9 +358,9 @@ TEST(SuiteIsolation, ConcurrentFaultsStayIsolatedPerJob)
     // sibling running at the same time: inject a corrupt trace and
     // three watchdog deadlocks among nine healthy jobs and fan the lot
     // across 8 threads, repeatedly.
-    TempFile corrupt("concurrent_corrupt.fo4t");
+    TempFile corrupt("concurrent_corrupt.fo4cap");
     auto bytes = healthyTraceBytes(corrupt.path(), 512);
-    bytes[16 + 32 * 40 + 30] = static_cast<char>(0xEE);
+    bytes[kFirstRecord + 32 * 40 + 30] = static_cast<char>(0xEE);
     writeFile(corrupt.path(), bytes);
 
     std::vector<study::BenchJob> jobs;

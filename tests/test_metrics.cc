@@ -29,7 +29,7 @@
 #include "study/parallel.hh"
 #include "study/runner.hh"
 #include "study/scaling.hh"
-#include "trace/file_trace.hh"
+#include "trace/capture.hh"
 #include "trace/generator.hh"
 #include "trace/spec2000.hh"
 #include "util/metrics.hh"
@@ -64,17 +64,25 @@ smallSpec()
     return spec;
 }
 
-/** Write a short trace with one record's op-class byte destroyed. */
+/** Write a short capture with one record's op-class byte rotted. */
 std::string
 makeCorruptTrace(const std::string &name)
 {
     const std::string path =
         std::string(::testing::TempDir()) + "/" + name;
-    auto prof = trace::spec2000Profile("164.gzip");
-    trace::SyntheticTraceGenerator gen(prof);
-    trace::recordTrace(path, gen, 512);
+    {
+        auto prof = trace::spec2000Profile("164.gzip");
+        trace::SyntheticTraceGenerator gen(prof);
+        auto writer = trace::CaptureWriter::create(path);
+        for (int i = 0; i < 512; ++i)
+            writer.append(gen.next());
+        writer.close();
+    }
+    // Layout: 32-byte header, 9-byte empty meta frame, then the op
+    // frame's 8-byte head and kind byte.  The rotted byte no longer
+    // matches its frame CRC.
     std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(16 + 32 * 50 + 30);
+    f.seekp(50 + 32 * 50 + 30);
     f.put(static_cast<char>(0xEE));
     return path;
 }
@@ -291,7 +299,7 @@ TEST(TraceEventRing, ChromeJsonNamesLanesAndEvents)
 TEST(StatsDeterminism, RowsByteIdenticalAcrossThreadCountsUnderFaults)
 {
     MetricsFlagGuard on(true); // live registry must not perturb results
-    const auto corrupt = makeCorruptTrace("metrics_corrupt.fo4t");
+    const auto corrupt = makeCorruptTrace("metrics_corrupt.fo4cap");
     const auto jobs = faultyJobs(corrupt);
     const auto params = study::scaledCoreParams(6.0, {});
     const auto clock = study::scaledClock(6.0);
@@ -316,7 +324,7 @@ TEST(StatsDeterminism, RowsByteIdenticalAcrossThreadCountsUnderFaults)
 TEST(StatsDeterminism, CheckpointReplayReproducesStatsByteForByte)
 {
     MetricsFlagGuard on(true);
-    const auto corrupt = makeCorruptTrace("metrics_ckpt_corrupt.fo4t");
+    const auto corrupt = makeCorruptTrace("metrics_ckpt_corrupt.fo4cap");
     const auto jobs = faultyJobs(corrupt);
     const auto spec = smallSpec();
     std::vector<study::GridPoint> points(1);

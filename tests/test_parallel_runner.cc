@@ -21,7 +21,7 @@
 #include "study/runner.hh"
 #include "study/scaling.hh"
 #include "trace/decoded_trace.hh"
-#include "trace/file_trace.hh"
+#include "trace/capture.hh"
 #include "trace/generator.hh"
 #include "trace/spec2000.hh"
 #include "util/status.hh"
@@ -46,17 +46,25 @@ smallSpec()
     return spec;
 }
 
-/** Write a short trace with one record's op-class byte destroyed. */
+/** Write a short capture with one record's op-class byte rotted. */
 std::string
 makeCorruptTrace(const std::string &name)
 {
     const std::string path =
         std::string(::testing::TempDir()) + "/" + name;
-    auto prof = trace::spec2000Profile("164.gzip");
-    trace::SyntheticTraceGenerator gen(prof);
-    trace::recordTrace(path, gen, 512);
+    {
+        auto prof = trace::spec2000Profile("164.gzip");
+        trace::SyntheticTraceGenerator gen(prof);
+        auto writer = trace::CaptureWriter::create(path);
+        for (int i = 0; i < 512; ++i)
+            writer.append(gen.next());
+        writer.close();
+    }
+    // Layout: 32-byte header, 9-byte empty meta frame, then the op
+    // frame's 8-byte head and kind byte.  The rotted byte no longer
+    // matches its frame CRC.
     std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(16 + 32 * 50 + 30);
+    f.seekp(50 + 32 * 50 + 30);
     f.put(static_cast<char>(0xEE));
     return path;
 }
@@ -119,7 +127,7 @@ TEST(ParallelRunner, HealthySuiteByteIdenticalAtEveryThreadCount)
 
 TEST(ParallelRunner, FailedRowOrderingSurvivesParallelExecution)
 {
-    const auto corrupt = makeCorruptTrace("parallel_corrupt.fo4t");
+    const auto corrupt = makeCorruptTrace("parallel_corrupt.fo4cap");
     const auto jobs = faultyJobs(corrupt);
     const auto params = study::scaledCoreParams(6.0, {});
     const auto clock = study::scaledClock(6.0);
@@ -317,7 +325,7 @@ TEST(BatchRunner, FaultRowsSurviveBatchedExecution)
     // Corrupt traces and watchdog trips must land in the same rows with
     // the same typed errors and messages as the serial reference —
     // through the decoded-trace registry, at every thread count.
-    const auto corrupt = makeCorruptTrace("batch_corrupt.fo4t");
+    const auto corrupt = makeCorruptTrace("batch_corrupt.fo4cap");
     const auto jobs = faultyJobs(corrupt);
     const auto params = study::scaledCoreParams(6.0, {});
     const auto clock = study::scaledClock(6.0);

@@ -19,6 +19,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,6 +29,7 @@
 #include "study/checkpoint.hh"
 #include "svc/store.hh"
 #include "util/blob_store.hh"
+#include "util/durable_file.hh"
 #include "util/status.hh"
 
 using namespace fo4;
@@ -82,6 +84,25 @@ makeCell(std::size_t point, std::size_t job)
     cell.result.sim.instructions = 67890;
     return cell;
 }
+
+/** Fault every write to the AtomicFile temporary of `path`; clear
+ *  the hook on exit. */
+class ScopedDiskFault
+{
+  public:
+    ScopedDiskFault(const std::string &path, util::DiskFault fault)
+    {
+        util::setDiskFaultHook(
+            [tmp = util::AtomicFile::tmpPathFor(path),
+             fault](const std::string &p)
+                -> std::optional<util::DiskFault> {
+                if (p == tmp)
+                    return fault;
+                return std::nullopt;
+            });
+    }
+    ~ScopedDiskFault() { util::setDiskFaultHook(nullptr); }
+};
 
 } // namespace
 
@@ -213,6 +234,22 @@ TEST(BlobStore, BadMagicIsQuarantinedMiss)
     EXPECT_FALSE(fileExists(path));
 }
 
+TEST(BlobStore, GoldenBytesOfOneBlob)
+{
+    // Header (magic, version 1, key length, u64 payload length,
+    // payload CRC, header CRC chained over the key), key, payload.
+    const std::string golden(
+        "\x46\x4f\x34\x42\x4c\x4f\x42\x0a\x01\x00\x00\x00"
+        "\x03\x00\x00\x00\x07\x00\x00\x00\x00\x00\x00\x00"
+        "\x15\x6a\x2c\x42\x4d\x5f\xfb\xab\x6b\x65\x79\x70"
+        "\x61\x79\x6c\x6f\x61\x64",
+        42);
+    util::BlobStore store(tempDir("blob_golden"), 0, "test.blob");
+    ASSERT_TRUE(store.put("key", "payload"));
+    EXPECT_EQ(slurp(store.pathFor("key")), golden);
+    EXPECT_EQ(store.get("key"), "payload");
+}
+
 // ---------------------------------------------------------------------
 // BlobStore: injected disk faults
 // ---------------------------------------------------------------------
@@ -220,18 +257,16 @@ TEST(BlobStore, BadMagicIsQuarantinedMiss)
 TEST(BlobStore, EnospcOnWriteDropsTheStoreNotTheCaller)
 {
     util::BlobStore store(tempDir("blob_enospc"), 0, "test.blob");
-    util::BlobStoreHooks hooks;
-    hooks.onWrite = [](const std::string &) {
-        return util::DiskFault{}; // immediate ENOSPC
-    };
-    store.setHooks(hooks);
-    EXPECT_FALSE(store.put("k", "doomed"));
+    {
+        // Immediate ENOSPC on the blob's temporary.
+        ScopedDiskFault fault(store.pathFor("k"), util::DiskFault{});
+        EXPECT_FALSE(store.put("k", "doomed"));
+    }
     EXPECT_EQ(store.stats().diskErrors.load(), 1u);
     EXPECT_EQ(store.entries(), 0u); // no blob, no tmp leftover
     EXPECT_FALSE(fileExists(store.pathFor("k")));
 
     // Clear the fault: the same store works again.
-    store.setHooks({});
     EXPECT_TRUE(store.put("k", "landed"));
     EXPECT_EQ(store.get("k"), "landed");
 }
@@ -239,13 +274,13 @@ TEST(BlobStore, EnospcOnWriteDropsTheStoreNotTheCaller)
 TEST(BlobStore, ShortWriteNeverPublishesAPartialBlob)
 {
     util::BlobStore store(tempDir("blob_short"), 0, "test.blob");
-    util::BlobStoreHooks hooks;
-    hooks.onWrite = [](const std::string &) {
+    {
         // The disk fills 10 bytes into the record.
-        return util::DiskFault{.failErrno = 28, .shortWriteBytes = 10};
-    };
-    store.setHooks(hooks);
-    EXPECT_FALSE(store.put("k", "a payload that will be cut short"));
+        ScopedDiskFault fault(
+            store.pathFor("k"),
+            util::DiskFault{.failErrno = 28, .shortWriteBytes = 10});
+        EXPECT_FALSE(store.put("k", "a payload that will be cut short"));
+    }
     // The partial record lived only in the tmp file, which was dropped:
     // nothing is visible under the final name, so no reader can ever
     // see the torn prefix.
@@ -258,11 +293,8 @@ TEST(BlobStore, UnlinkRaceBeforeReadIsACleanMiss)
 {
     util::BlobStore store(tempDir("blob_race"), 0, "test.blob");
     ASSERT_TRUE(store.put("k", "soon gone"));
-    util::BlobStoreHooks hooks;
-    hooks.beforeRead = [](const std::string &, const std::string &path) {
-        ::unlink(path.c_str()); // evicted between lookup and open
-    };
-    store.setHooks(hooks);
+    // Evicted between lookup and open.
+    ::unlink(store.pathFor("k").c_str());
     EXPECT_FALSE(store.get("k").has_value());
     // ENOENT is an honest miss: neither corruption nor a disk error.
     EXPECT_EQ(store.stats().corrupt.load(), 0u);
@@ -272,22 +304,12 @@ TEST(BlobStore, UnlinkRaceBeforeReadIsACleanMiss)
 TEST(BlobStore, ByteFlippedAfterPublishIsCaughtOnRead)
 {
     util::BlobStore store(tempDir("blob_afterpub"), 0, "test.blob");
-    util::BlobStoreHooks hooks;
-    hooks.afterPublish = [](const std::string &,
-                            const std::string &path) {
-        std::string bytes;
-        {
-            std::ifstream in(path, std::ios::binary);
-            bytes.assign(std::istreambuf_iterator<char>(in),
-                         std::istreambuf_iterator<char>());
-        }
-        bytes.back() = static_cast<char>(bytes.back() ^ 0x01);
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out.write(bytes.data(),
-                  static_cast<std::streamsize>(bytes.size()));
-    };
-    store.setHooks(hooks);
     ASSERT_TRUE(store.put("k", "rots on the platter"));
+    // Rot the last payload byte on disk after put() returned.
+    const std::string path = store.pathFor("k");
+    std::string bytes = slurp(path);
+    bytes.back() = static_cast<char>(bytes.back() ^ 0x01);
+    spew(path, bytes);
     EXPECT_FALSE(store.get("k").has_value());
     EXPECT_EQ(store.stats().corrupt.load(), 1u);
 }

@@ -27,6 +27,7 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <optional>
 #include <stdexcept>
@@ -41,7 +42,7 @@
 #include "svc/server.hh"
 #include "svc/sweep.hh"
 #include "trace/generator.hh"
-#include "trace/file_trace.hh"
+#include "trace/capture.hh"
 #include "trace/spec2000.hh"
 #include "util/metrics.hh"
 #include "util/net.hh"
@@ -63,24 +64,28 @@ tempPath(const std::string &name)
 }
 
 /**
- * Record a short trace, then overwrite one record's op-class byte with
- * a value no ISA defines — the resilient_suite fault, injected here so
- * the wire sweep carries a deterministically failing row.
+ * Record a short capture, then overwrite one record's op-class byte
+ * with a value no ISA defines — the resilient_suite fault, injected
+ * here so the wire sweep carries a deterministically failing row.
  */
 std::string
 makeCorruptTrace()
 {
-    const std::string path = tempPath("svc_loopback_corrupt.fo4t");
-    auto prof = trace::spec2000Profile("164.gzip");
-    trace::SyntheticTraceGenerator gen(prof);
-    trace::recordTrace(path, gen, 4096);
-    std::FILE *f = std::fopen(path.c_str(), "rb+");
-    if (f == nullptr)
-        throw std::runtime_error("cannot reopen " + path);
-    // Record layout: 16-byte header, 32-byte records, cls at offset 30.
-    std::fseek(f, 16 + 32 * 100 + 30, SEEK_SET);
-    std::fputc(0xEE, f);
-    std::fclose(f);
+    const std::string path = tempPath("svc_loopback_corrupt.fo4cap");
+    {
+        auto prof = trace::spec2000Profile("164.gzip");
+        trace::SyntheticTraceGenerator gen(prof);
+        auto writer = trace::CaptureWriter::create(path);
+        for (int i = 0; i < 4096; ++i)
+            writer.append(gen.next());
+        writer.close();
+    }
+    // Layout: 32-byte header, 9-byte empty meta frame, then the op
+    // frame's 8-byte head and kind byte.  The rotted byte no longer
+    // matches its frame CRC.
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(50 + 32 * 100 + 30);
+    f.put(static_cast<char>(0xEE));
     return path;
 }
 

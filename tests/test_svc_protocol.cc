@@ -15,7 +15,7 @@
 #include "study/runner.hh"
 #include "svc/protocol.hh"
 #include "svc/sweep.hh"
-#include "util/journal.hh"
+#include "util/durable_file.hh"
 #include "util/net.hh"
 #include "util/random.hh"
 #include "util/status.hh"
@@ -91,6 +91,19 @@ TEST(SvcFrame, RoundTripsTypeAndBody)
     const Frame frame = decodeRaw(raw);
     EXPECT_EQ(frame.type, MsgType::SubmitSweep);
     EXPECT_EQ(frame.body, "hello\nworld");
+}
+
+TEST(SvcFrame, GoldenBytesOfOneFrame)
+{
+    // `u32 len | u32 crc | u16 version | u16 type | body` for a v5
+    // Poll of "id=7".
+    const std::string golden("\x08\x00\x00\x00\xc2\x46\xaf\xbb"
+                             "\x05\x00\x02\x00\x69\x64\x3d\x37",
+                             16);
+    EXPECT_EQ(svc::encodeFrame(MsgType::Poll, "id=7"), golden);
+    const Frame frame = decodeRaw(golden);
+    EXPECT_EQ(frame.type, MsgType::Poll);
+    EXPECT_EQ(frame.body, "id=7");
 }
 
 TEST(SvcFrame, EmptyBodyRoundTrips)

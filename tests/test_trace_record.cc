@@ -25,14 +25,15 @@
 
 #include <unistd.h>
 
+#include "core/params.hh"
+#include "study/goldengen.hh"
 #include "trace/capture.hh"
-#include "trace/file_trace.hh"
 #include "trace/generator.hh"
 #include "trace/recorded_trace.hh"
 #include "trace/recorder.hh"
 #include "trace/spec2000.hh"
 #include "trace/trace_codec.hh"
-#include "util/journal.hh"
+#include "util/durable_file.hh"
 #include "util/random.hh"
 #include "util/status.hh"
 
@@ -236,12 +237,35 @@ TEST(TraceRecord, WriterRoundTripPreservesOpsAndMeta)
     std::remove(path.c_str());
 }
 
+TEST(TraceRecord, CommittedCapturesReRecordByteForByte)
+{
+    // Each committed capture carries the metadata of the run that made
+    // it; recording that run again must reproduce the file exactly —
+    // header, frame layout, record encoding and all.
+    for (const char *name : {"164.gzip", "171.swim", "176.gcc"}) {
+        const std::string committed =
+            std::string(FO4_SOURCE_DIR) + "/tests/data/" + name + ".fo4cap";
+        const trace::RecordedTrace capture(committed);
+        study::CaptureRequest request;
+        request.profile =
+            trace::spec2000Profile(capture.metaValue("benchmark"));
+        request.params = core::CoreParams::alpha21264();
+        request.spec = study::specFromCaptureMeta(capture);
+        request.margin = std::stoull(capture.metaValue("margin"));
+        const std::string out =
+            tmpPath(std::string("rerecord_") + name + ".fo4cap");
+        study::recordCapture(out, request);
+        EXPECT_TRUE(readBytes(out) == readBytes(committed)) << name;
+        std::remove(out.c_str());
+    }
+}
+
 TEST(TraceRecord, PublicationIsAtomic)
 {
     const std::string path = tmpPath("atomic.fo4cap");
     writeCaptureFile(path, makeOps(4), {}, 16);
     EXPECT_TRUE(fileExists(path));
-    EXPECT_FALSE(fileExists(path + ".tmp"))
+    EXPECT_FALSE(fileExists(util::AtomicFile::tmpPathFor(path)))
         << "close() must rename the tmp file away";
     std::remove(path.c_str());
 
@@ -251,10 +275,10 @@ TEST(TraceRecord, PublicationIsAtomic)
     {
         auto writer = trace::CaptureWriter::create(aborted, {}, 16);
         writer.append(makeOps(1)[0]);
-        EXPECT_TRUE(fileExists(aborted + ".tmp"));
+        EXPECT_TRUE(fileExists(util::AtomicFile::tmpPathFor(aborted)));
     }
     EXPECT_FALSE(fileExists(aborted));
-    EXPECT_FALSE(fileExists(aborted + ".tmp"));
+    EXPECT_FALSE(fileExists(util::AtomicFile::tmpPathFor(aborted)));
 }
 
 TEST(TraceRecord, EmptyCaptureIsRefused)
@@ -263,7 +287,30 @@ TEST(TraceRecord, EmptyCaptureIsRefused)
     auto writer = trace::CaptureWriter::create(path, {}, 16);
     EXPECT_THROW(writer.close(), util::ConfigError);
     EXPECT_FALSE(fileExists(path));
-    EXPECT_FALSE(fileExists(path + ".tmp"));
+    EXPECT_FALSE(fileExists(util::AtomicFile::tmpPathFor(path)));
+}
+
+TEST(TraceRecord, WriterRefusesFramesItsReaderRefuses)
+{
+    // An op frame is the kind byte plus opsPerFrame packed records; a
+    // batch that would exceed kMaxCaptureFrame is refused up front
+    // rather than published as a capture readCapture() rejects.
+    const std::size_t fits =
+        (trace::kMaxCaptureFrame - 1) / sizeof(trace::TraceRecord);
+    const std::string path = tmpPath("bigframe.fo4cap");
+    EXPECT_THROW(trace::CaptureWriter::create(path, {}, fits + 1),
+                 util::ConfigError);
+    EXPECT_THROW(trace::CaptureWriter::create(path, {}, 40000),
+                 util::ConfigError);
+    EXPECT_FALSE(fileExists(path));
+
+    // The largest batch that fits round-trips in one frame.
+    const auto ops = makeOps(fits);
+    writeCaptureFile(path, ops, {}, fits);
+    const auto contents = trace::readCapture(path);
+    EXPECT_TRUE(contents.finalized);
+    EXPECT_EQ(contents.ops.size(), fits);
+    std::remove(path.c_str());
 }
 
 TEST(TraceRecord, TruncationAtEveryByteIsNeverReplayable)
@@ -403,11 +450,11 @@ TEST(TraceRecord, ImplausibleFrameLengthRefusedBeforeAllocation)
     std::remove(path.c_str());
 }
 
-TEST(TraceRecord, StrayBytesInOpFrameRejectedExactlyLikeFileTrace)
+TEST(TraceRecord, StrayBytesInOpFrameAreCorrupt)
 {
-    // Both on-disk containers funnel records through the shared codec;
-    // a frame whose body is not a whole number of records must produce
-    // the same refusal FileTrace gives a flat file with stray bytes.
+    // A frame whose body is not a whole number of records was cut
+    // mid-record; silently dropping the tail would replay a different
+    // stream than was recorded.
     const auto ops = makeOps(1);
     auto body = craftRecordBytes(ops[0]);
     body.push_back(0xAB); // 33 bytes: one record plus one stray
@@ -416,67 +463,36 @@ TEST(TraceRecord, StrayBytesInOpFrameRejectedExactlyLikeFileTrace)
     craftFrame(capture, 'M', craftMetaBody("benchmark=x\n"));
     craftFrame(capture, 'O', body);
     craftFrame(capture, 'E', craftEndBody(1));
-    const std::string capPath = tmpPath("stray.fo4cap");
-    writeBytes(capPath, capture);
-    const auto capMessage = expectTraceError(
-        [&] { trace::readCapture(capPath); },
-        util::ErrorCode::TraceCorrupt, "capture stray bytes");
-
-    // Flat v1 file with the same payload: 16-byte header + 33 bytes.
-    const std::string flatPath = tmpPath("stray.fo4t");
-    {
-        trace::VectorTrace vec(ops);
-        trace::recordTrace(flatPath, vec, 1);
-        std::ofstream f(flatPath,
-                        std::ios::binary | std::ios::app);
-        f.put(static_cast<char>(0xAB));
-    }
-    const auto flatMessage = expectTraceError(
-        [&] { trace::FileTrace ft(flatPath); },
-        util::ErrorCode::TraceCorrupt, "flat stray bytes");
-
-    const std::string want = "1 stray bytes after 1 complete records";
-    EXPECT_NE(capMessage.find(want), std::string::npos) << capMessage;
-    EXPECT_NE(flatMessage.find(want), std::string::npos) << flatMessage;
-    std::remove(capPath.c_str());
-    std::remove(flatPath.c_str());
+    const std::string path = tmpPath("stray.fo4cap");
+    writeBytes(path, capture);
+    const auto message = expectTraceError(
+        [&] { trace::readCapture(path); }, util::ErrorCode::TraceCorrupt,
+        "stray bytes");
+    EXPECT_NE(message.find("1 stray bytes after 1 complete records"),
+              std::string::npos)
+        << message;
+    std::remove(path.c_str());
 }
 
-TEST(TraceRecord, InvalidRecordsRejectedExactlyLikeFileTrace)
+TEST(TraceRecord, InvalidRecordsAreCorrupt)
 {
     // A record with op class 0xEE, behind a *valid* frame CRC — the
-    // codec's range check is the last line of defense, shared verbatim
-    // with FileTrace.
+    // codec's range check is the last line of defense.
     auto bad = makeOps(1)[0];
     auto body = craftRecordBytes(bad);
     body[30] = 0xEE; // cls byte of the packed record
     auto capture = craftHeader();
     craftFrame(capture, 'O', body);
     craftFrame(capture, 'E', craftEndBody(1));
-    const std::string capPath = tmpPath("badcls.fo4cap");
-    writeBytes(capPath, capture);
-    const auto capMessage = expectTraceError(
-        [&] { trace::readCapture(capPath); },
-        util::ErrorCode::TraceCorrupt, "capture bad class");
-
-    const std::string flatPath = tmpPath("badcls.fo4t");
-    {
-        trace::VectorTrace vec(makeOps(1));
-        trace::recordTrace(flatPath, vec, 1);
-        std::fstream f(flatPath,
-                       std::ios::binary | std::ios::in | std::ios::out);
-        f.seekp(16 + 30);
-        f.put(static_cast<char>(0xEE));
-    }
-    const auto flatMessage = expectTraceError(
-        [&] { trace::FileTrace ft(flatPath); },
-        util::ErrorCode::TraceCorrupt, "flat bad class");
-
-    const std::string want = "record 0 has op class 238 out of range";
-    EXPECT_NE(capMessage.find(want), std::string::npos) << capMessage;
-    EXPECT_NE(flatMessage.find(want), std::string::npos) << flatMessage;
-    std::remove(capPath.c_str());
-    std::remove(flatPath.c_str());
+    const std::string path = tmpPath("badcls.fo4cap");
+    writeBytes(path, capture);
+    const auto message = expectTraceError(
+        [&] { trace::readCapture(path); }, util::ErrorCode::TraceCorrupt,
+        "bad class");
+    EXPECT_NE(message.find("record 0 has op class 238 out of range"),
+              std::string::npos)
+        << message;
+    std::remove(path.c_str());
 }
 
 TEST(TraceRecord, EndFrameCountMismatchIsCorrupt)
@@ -552,8 +568,7 @@ TEST(TraceRecord, MalformedMetaLinesAreCorrupt)
 TEST(TraceRecord, FinalizedButEmptyCaptureIsRefusedByReplay)
 {
     // The writer refuses to record zero ops, but a crafted file can
-    // still claim it; replay must refuse it like FileTrace refuses an
-    // empty flat trace.
+    // still claim it; replay must refuse it.
     auto capture = craftHeader();
     craftFrame(capture, 'M', craftMetaBody("benchmark=void\n"));
     craftFrame(capture, 'E', craftEndBody(0));
@@ -623,45 +638,6 @@ TEST(TraceRecord, RecorderReplaysItsCaptureOnReset)
     EXPECT_EQ(recorder.captured().size(), 16u);
 }
 
-TEST(TraceRecord, OpenTraceFileDispatchesOnMagic)
-{
-    auto prof = trace::spec2000Profile("176.gcc");
-
-    // Capture container → RecordedTrace.
-    const std::string cap = tmpPath("dispatch.fo4cap");
-    const auto ops = makeOps(6);
-    writeCaptureFile(cap, ops, {}, 16);
-    auto fromCapture = trace::openTraceFile(cap);
-    ASSERT_NE(fromCapture, nullptr);
-    EXPECT_TRUE(sameOp(fromCapture->next(), ops[0]));
-
-    // Flat v1 trace → FileTrace.
-    const std::string flat = tmpPath("dispatch.fo4t");
-    {
-        trace::SyntheticTraceGenerator gen(prof);
-        trace::recordTrace(flat, gen, 32);
-    }
-    auto fromFlat = trace::openTraceFile(flat);
-    ASSERT_NE(fromFlat, nullptr);
-    EXPECT_NO_THROW(fromFlat->next());
-
-    // Garbage → the FileTrace format error; missing → typed I/O error.
-    const std::string garbage = tmpPath("dispatch.txt");
-    {
-        std::ofstream f(garbage, std::ios::binary);
-        f << "this is not a trace file of any kind whatsoever";
-    }
-    expectTraceError([&] { trace::openTraceFile(garbage); },
-                     util::ErrorCode::TraceFormat, "garbage file");
-    expectTraceError(
-        [&] { trace::openTraceFile(tmpPath("no_such_file.fo4t")); },
-        util::ErrorCode::TraceIo, "missing file");
-
-    std::remove(cap.c_str());
-    std::remove(flat.c_str());
-    std::remove(garbage.c_str());
-}
-
 TEST(TraceRecord, InjectedDiskFaultPublishesNothing)
 {
     const std::string path = tmpPath("faulty.fo4cap");
@@ -679,7 +655,7 @@ TEST(TraceRecord, InjectedDiskFaultPublishesNothing)
                      util::TraceError);
     }
     EXPECT_FALSE(fileExists(path));
-    EXPECT_FALSE(fileExists(path + ".tmp"));
+    EXPECT_FALSE(fileExists(util::AtomicFile::tmpPathFor(path)));
 
     // ENOSPC mid-recording: the append that flushes a frame throws and
     // the writer abandons its tmp file.
@@ -700,5 +676,5 @@ TEST(TraceRecord, InjectedDiskFaultPublishesNothing)
             util::TraceError);
     }
     EXPECT_FALSE(fileExists(path));
-    EXPECT_FALSE(fileExists(path + ".tmp"));
+    EXPECT_FALSE(fileExists(util::AtomicFile::tmpPathFor(path)));
 }

@@ -180,6 +180,40 @@ TEST(Journal, MidFileFlipIsJournalCorruptNotTornTail)
     std::remove(path.c_str());
 }
 
+TEST(Journal, RottedLengthWordIsCorruptNotTornTail)
+{
+    const auto path = makeJournal("journal_rotlen.j", 7, 3);
+    auto bytes = slurp(path);
+    // Rot the high byte of the *first* record's length word.  The
+    // declared frame now runs past the end of the file, which a reader
+    // without a length bound would take for a torn tail — and appendTo
+    // would then truncate all three acknowledged records.
+    bytes[32 + 3] = static_cast<char>(0x40);
+    spew(path, bytes);
+    EXPECT_EQ(readError(path), util::ErrorCode::JournalCorrupt);
+    std::remove(path.c_str());
+}
+
+TEST(Journal, GoldenBytesOfATwoRecordJournal)
+{
+    // Header (magic, version 2, flags, fingerprint, header CRC,
+    // reserved) then two `u32 len | u32 crc | payload` frames.
+    const std::string golden(
+        "\x46\x4f\x34\x4a\x52\x4e\x4c\x0a\x02\x00\x00\x00"
+        "\x00\x00\x00\x00\xef\xcd\xab\x89\x67\x45\x23\x01"
+        "\x7a\xe7\x90\xfa\x00\x00\x00\x00\x05\x00\x00\x00"
+        "\x6a\x39\xe0\xd0\x61\x6c\x70\x68\x61\x04\x00\x00"
+        "\x00\x63\x04\x91\x8f\x62\x65\x74\x61",
+        57);
+    const auto path = tempPath("journal_golden.j");
+    auto writer = util::JournalWriter::create(path, 0x0123456789abcdefull);
+    writer.append("alpha");
+    writer.append("beta");
+    writer.close();
+    EXPECT_EQ(slurp(path), golden);
+    std::remove(path.c_str());
+}
+
 TEST(Journal, TornTrailingRecordRecoversAndAppendResumes)
 {
     const auto path = makeJournal("journal_torn.j", 7, 3);
