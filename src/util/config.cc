@@ -114,8 +114,8 @@ runTopLevel(int argc, const char *const *argv,
     // a command line fromArgs would reject (duplicate keys, bad types).
     for (int i = 1; i < argc; ++i) {
         const std::string token = argv[i];
-        if (token == "help" || token == "--help" || token == "help=1" ||
-            token == "--help=1") {
+        if (token == "help" || token == "--help" || token == "help=" ||
+            token == "--help=" || token == "help=1" || token == "--help=1") {
             std::fputs(renderKeyHelp(argv[0] ? argv[0] : "program", keys)
                            .c_str(),
                        stdout);

@@ -91,12 +91,12 @@ std::string renderKeyHelp(const std::string &program,
 
 /**
  * Help-aware variant of runTopLevel (util/status.hh): if the command
- * line asks for help — `help=1`, `--help`, or a bare `help` argument —
- * print the recognized keys from `keys` with their one-line
- * descriptions and exit 0 *without* running `body`.  Otherwise behaves
- * exactly like runTopLevel(body).  `keys` should be the same list the
- * body passes to Config::checkKnown, so the help text and the spell
- * checker can never drift apart.
+ * line asks for help — `help`, `help=`, `help=1` or their `--help`
+ * spellings — print the recognized keys from `keys` with their
+ * one-line descriptions and exit 0 *without* running `body`.  Otherwise
+ * behaves exactly like runTopLevel(body).  `keys` should be the same
+ * list the body passes to Config::checkKnown, so the help text and the
+ * spell checker can never drift apart.
  */
 int runTopLevel(int argc, const char *const *argv,
                 const std::vector<KeyDoc> &keys,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/logging.hh"
 
@@ -178,9 +179,12 @@ P2Quantile::value() const
         return heights[2];
     // Exact quantile of the few stored samples: the nearest-rank value
     // of a sorted copy.
+    // Sort all five slots, unused ones padded with +inf, so the sort
+    // has a constant bound: the n stored samples come first.
     double sorted[5];
+    std::fill(sorted, sorted + 5, std::numeric_limits<double>::infinity());
     std::copy(heights, heights + n, sorted);
-    std::sort(sorted, sorted + n);
+    std::sort(sorted, sorted + 5);
     const double rank = q * static_cast<double>(n - 1);
     auto idx = static_cast<std::uint64_t>(rank + 0.5);
     if (idx >= n)

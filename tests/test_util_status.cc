@@ -297,3 +297,23 @@ TEST(Validation, ClockModel)
     clock.tUsefulFo4 = -1.0;
     EXPECT_FALSE(clock.validate().isOk());
 }
+
+TEST(RunTopLevel, EveryHelpSpellingPrintsKeysWithoutRunningTheBody)
+{
+    const std::vector<KeyDoc> keys = {{"jobs", "worker threads"}};
+    for (const char *help :
+         {"help", "--help", "help=", "--help=", "help=1", "--help=1"}) {
+        const char *argv[] = {"prog", "jobs=2", help};
+        bool ran = false;
+        EXPECT_EQ(runTopLevel(3, argv, keys,
+                              [&ran] {
+                                  ran = true;
+                                  return 7;
+                              }),
+                  0)
+            << help;
+        EXPECT_FALSE(ran) << help;
+    }
+    const char *argv[] = {"prog", "jobs=2"};
+    EXPECT_EQ(runTopLevel(2, argv, keys, [] { return 7; }), 7);
+}
